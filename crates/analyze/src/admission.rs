@@ -12,7 +12,7 @@
 //! database.
 
 use strcalc_alphabet::Sym;
-use strcalc_logic::Formula;
+use strcalc_logic::{Formula, LangFacts};
 
 use crate::cost::{self, CostEstimate};
 use crate::fragments::{self, EvalClass, FragmentPoint};
@@ -55,7 +55,7 @@ impl AdmissionReport {
 /// Classifies `f` for admission (alphabet size `k`, star-freeness
 /// decided under `monoid_cap`).
 pub fn classify(f: &Formula, k: Sym, monoid_cap: usize) -> AdmissionReport {
-    let (analysis, _) = fragments::check(f, k, monoid_cap);
+    let (analysis, _) = fragments::check_alone(f, k, monoid_cap, &LangFacts::new());
     let strategy = match &analysis.class {
         EvalClass::LikeLinear(_) => "like-linear-scan",
         // The planner's default threshold decides dense vs. sparse; a

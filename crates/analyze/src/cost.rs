@@ -26,7 +26,7 @@ use std::collections::HashMap;
 use strcalc_alphabet::Sym;
 use strcalc_automata::Regex;
 use strcalc_logic::transform::{nnf, quantifier_rank};
-use strcalc_logic::{Atom, Formula, Lang};
+use strcalc_logic::{Atom, Formula, Lang, LangFacts};
 
 use crate::diag::{Code, Finding, FormulaPath};
 
@@ -77,6 +77,11 @@ impl CostEstimate {
 /// SA030 pass runs, without any findings. The query planner calls this
 /// per plan node to annotate `EXPLAIN` output.
 pub fn estimate(f: &Formula, k: Sym) -> CostEstimate {
+    estimate_by(f, &|l| lang_dfa_states(l, k))
+}
+
+/// The estimate, with `states` giving each language's DFA state count.
+fn estimate_by(f: &Formula, states: &dyn Fn(&Lang) -> usize) -> CostEstimate {
     let normal = nnf(f);
     let mut rel_atoms = 0usize;
     let mut lang_atoms = 0usize;
@@ -92,15 +97,21 @@ pub fn estimate(f: &Formula, k: Sym) -> CostEstimate {
     CostEstimate {
         quantifier_rank: quantifier_rank(f),
         alternation_depth: alternation_depth(&normal, Block::None),
-        log2_states: log2_states(&normal, k),
+        log2_states: log2_states(&normal, states),
         rel_atoms,
         lang_atoms,
     }
 }
 
-/// Runs the pass. `budget_log2_states` is the SA031 threshold.
-pub(crate) fn check(f: &Formula, k: Sym, budget_log2_states: f64) -> (CostEstimate, Vec<Finding>) {
-    let estimate = estimate(f, k);
+/// Runs the pass. `budget_log2_states` is the SA031 threshold; language
+/// sizes come from the analysis's `facts`.
+pub(crate) fn check(
+    f: &Formula,
+    k: Sym,
+    budget_log2_states: f64,
+    facts: &LangFacts,
+) -> (CostEstimate, Vec<Finding>) {
+    let estimate = estimate_by(f, &|l| facts.states(l, k).max(1));
     let mut findings = vec![Finding::new(
         Code::CostReport,
         FormulaPath::root(),
@@ -161,38 +172,38 @@ fn alternation_depth(f: &Formula, current: Block) -> usize {
 }
 
 /// log₂ upper bound on compiled automaton states. Assumes NNF.
-fn log2_states(f: &Formula, k: Sym) -> f64 {
-    let states = match f {
+fn log2_states(f: &Formula, states: &dyn Fn(&Lang) -> usize) -> f64 {
+    let bound = match f {
         Formula::True | Formula::False => 1.0f64.log2(),
-        Formula::Atom(a) => atom_log2_states(a, k),
+        Formula::Atom(a) => atom_log2_states(a, states),
         // Complement of a (complete, deterministic) atom automaton has
         // the same states.
-        Formula::Not(g) => log2_states(g, k),
+        Formula::Not(g) => log2_states(g, states),
         // Product construction: states multiply ⇒ logs add.
-        Formula::And(a, b) => log2_states(a, k) + log2_states(b, k),
+        Formula::And(a, b) => log2_states(a, states) + log2_states(b, states),
         // Union: |A| + |B| ≤ 2·max ⇒ max + 1 in the log domain.
         Formula::Or(a, b) | Formula::Implies(a, b) => {
-            log2_states(a, k).max(log2_states(b, k)) + 1.0
+            log2_states(a, states).max(log2_states(b, states)) + 1.0
         }
         // a ↔ b expands to (a∧b) ∨ (¬a∧¬b) under NNF: two products.
-        Formula::Iff(a, b) => log2_states(a, k) + log2_states(b, k) + 1.0,
+        Formula::Iff(a, b) => log2_states(a, states) + log2_states(b, states) + 1.0,
         // Projection keeps the state set (yields an NFA; cost deferred
         // until a ∀ forces determinization).
-        Formula::Exists(_, g) | Formula::ExistsR(_, _, g) => log2_states(g, k),
+        Formula::Exists(_, g) | Formula::ExistsR(_, _, g) => log2_states(g, states),
         // ∀ = ¬∃¬: determinization of the projected NFA, 2^n states ⇒
         // the log₂ bound becomes n itself.
         Formula::Forall(_, g) | Formula::ForallR(_, _, g) => {
-            let inner = log2_states(g, k);
+            let inner = log2_states(g, states);
             2.0f64.powf(inner.min(LOG2_CAP.log2()))
         }
     };
-    states.min(LOG2_CAP)
+    bound.min(LOG2_CAP)
 }
 
-fn atom_log2_states(a: &Atom, k: Sym) -> f64 {
+fn atom_log2_states(a: &Atom, states: &dyn Fn(&Lang) -> usize) -> f64 {
     match a {
         Atom::Rel(..) => REL_ATOM_STATES.log2(),
-        Atom::InLang(_, l) | Atom::PL(_, _, l) => lang_log2_states(l, k),
+        Atom::InLang(_, l) | Atom::PL(_, _, l) => (states(l) as f64).log2() + 1.0,
         _ => STRUCT_ATOM_STATES.log2(),
     }
 }
@@ -200,6 +211,8 @@ fn atom_log2_states(a: &Atom, k: Sym) -> f64 {
 thread_local! {
     /// Regex → DFA sizing is the only expensive step of the estimate, and
     /// the query planner re-estimates per plan node; memoize per thread.
+    /// (The analyzer's own cost pass reads its analysis's `LangFacts`
+    /// table instead.)
     /// Keyed by the full regex structure *and* the alphabet size: the
     /// same regex determinizes to different DFAs under different
     /// alphabets, and — now that planlint turns these sizes into sound
@@ -225,10 +238,6 @@ pub(crate) fn lang_dfa_states(l: &Lang, k: Sym) -> usize {
     })
 }
 
-fn lang_log2_states(l: &Lang, k: Sym) -> f64 {
-    (lang_dfa_states(l, k) as f64).log2() + 1.0
-}
-
 #[cfg(test)]
 #[allow(clippy::unwrap_used)]
 mod tests {
@@ -236,6 +245,11 @@ mod tests {
     use strcalc_alphabet::Alphabet;
     use strcalc_automata::Regex;
     use strcalc_logic::{Lang, Term};
+
+    /// The pass with a fresh language-fact table.
+    fn check(f: &Formula, k: Sym, budget: f64) -> (CostEstimate, Vec<Finding>) {
+        super::check(f, k, budget, &LangFacts::new())
+    }
 
     #[test]
     fn flat_query_is_cheap() {

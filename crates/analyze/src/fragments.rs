@@ -9,7 +9,7 @@
 //! * **quantifier-free** — no quantifier of any kind below the node;
 //! * **safe-range** — every free variable of the subformula is
 //!   range-restricted in its conjunction context (the static safety
-//!   fragment of Theorem 7, sampled per node from the pass-2 rules);
+//!   fragment of Theorem 7, recorded per node by the pass-2 walk);
 //! * **collapse-safe** — safe-range *and* concat-free: the generic
 //!   collapse / natural-restriction results (Proposition 2, Theorem 2)
 //!   apply, so restricted quantifiers suffice;
@@ -41,12 +41,10 @@
 use std::collections::BTreeMap;
 
 use strcalc_alphabet::Sym;
-use strcalc_automata::starfree::is_star_free;
 use strcalc_automata::Regex;
-use strcalc_logic::{Atom, Formula, Fp, Lang, StructureClass, Term};
+use strcalc_logic::{Atom, Formula, Fp, Lang, LangFacts, StructureClass, Term};
 
 use crate::diag::{Code, Finding, FormulaPath, PathSeg};
-use crate::saferange::{restricted_in, Rst};
 
 // ---------------------------------------------------------------------
 // LIKE pattern classes
@@ -637,24 +635,42 @@ struct Attrs {
 struct Cx<'a> {
     k: Sym,
     monoid_cap: usize,
+    facts: &'a LangFacts,
+    /// Each node's safe-range flag, in the postorder the table is built
+    /// in (from the range-restriction pass).
+    node_safe: &'a [bool],
     table: Vec<(FormulaPath, FragmentPoint)>,
     findings: &'a mut Vec<Finding>,
 }
 
 /// Runs the pass over `f` (alphabet size `k`; `monoid_cap` bounds the
 /// star-freeness decision procedure, as in the signature pass).
-pub(crate) fn check(f: &Formula, k: Sym, monoid_cap: usize) -> (FragmentAnalysis, Vec<Finding>) {
+/// `node_safe` is the range-restriction pass's per-node safe-range
+/// flags for the same formula, in postorder.
+pub(crate) fn check(
+    f: &Formula,
+    k: Sym,
+    monoid_cap: usize,
+    facts: &LangFacts,
+    node_safe: &[bool],
+) -> (FragmentAnalysis, Vec<Finding>) {
     let mut findings = Vec::new();
     let mut cx = Cx {
         k,
         monoid_cap,
+        facts,
+        node_safe,
         table: Vec::new(),
         findings: &mut findings,
     };
-    let root_attrs = cx.walk(f, &Rst::empty(), &FormulaPath::root());
-    let root = point_of(f, &root_attrs, &Rst::empty(), k);
-    let class = eval_class(f);
+    cx.walk(f, &FormulaPath::root());
     let table = cx.table;
+    // Postorder: the root's point is the last entry.
+    let root = table
+        .last()
+        .map(|(_, point)| *point)
+        .expect("the walk records the root");
+    let class = eval_class(f);
 
     findings.push(
         Finding::new(
@@ -685,19 +701,19 @@ pub(crate) fn check(f: &Formula, k: Sym, monoid_cap: usize) -> (FragmentAnalysis
     (FragmentAnalysis { root, class, table }, findings)
 }
 
-/// The root lattice point alone (no table, no findings) — the cheap
-/// entry point EXPLAIN uses.
-pub fn root_point(f: &Formula, k: Sym, monoid_cap: usize) -> FragmentPoint {
-    let (analysis, _) = check(f, k, monoid_cap);
-    analysis.root
+/// The pass on its own, running the range-restriction walk first for
+/// the safe-range flags (the analyzer shares that walk with pass 2).
+pub(crate) fn check_alone(
+    f: &Formula,
+    k: Sym,
+    monoid_cap: usize,
+    facts: &LangFacts,
+) -> (FragmentAnalysis, Vec<Finding>) {
+    let (_, node_safe, _) = crate::saferange::check(f, k, facts);
+    check(f, k, monoid_cap, facts, &node_safe)
 }
 
-fn point_of(f: &Formula, attrs: &Attrs, ctx: &Rst, k: Sym) -> FragmentPoint {
-    let restricted = restricted_in(f, ctx, k);
-    let safe_range = f
-        .free_vars()
-        .iter()
-        .all(|v| restricted.contains(v) || ctx.contains(v));
+fn point_of(attrs: &Attrs, safe_range: bool) -> FragmentPoint {
     FragmentPoint {
         structure: attrs.structure,
         quantifier_free: attrs.quantifier_free,
@@ -709,10 +725,10 @@ fn point_of(f: &Formula, attrs: &Attrs, ctx: &Rst, k: Sym) -> FragmentPoint {
 }
 
 impl Cx<'_> {
-    /// Synthesizes the node's attributes bottom-up, threading the
-    /// conjunction context `ctx` exactly as the pass-2 range-restriction
-    /// rules do, and records every node's lattice point.
-    fn walk(&mut self, f: &Formula, ctx: &Rst, path: &FormulaPath) -> Attrs {
+    /// Synthesizes the node's attributes bottom-up and records every
+    /// node's lattice point, its safe-range flag read from the
+    /// range-restriction pass.
+    fn walk(&mut self, f: &Formula, path: &FormulaPath) -> Attrs {
         let attrs = match f {
             Formula::True | Formula::False => Attrs {
                 structure: StructureClass::S,
@@ -720,58 +736,37 @@ impl Cx<'_> {
                 has_concat: false,
             },
             Formula::Atom(a) => self.atom(a, path),
-            Formula::Not(g) => self.walk(g, &Rst::empty(), &path.child(PathSeg::NotArg)),
+            Formula::Not(g) => self.walk(g, &path.child(PathSeg::NotArg)),
             Formula::And(a, b) => {
-                // Children see the conjunction's full restricted set, as
-                // in the range-restriction fixpoint.
-                let acc = restricted_in(f, ctx, self.k);
-                let ctx2 = ctx.clone().union(acc);
-                let la = self.walk(a, &ctx2, &path.child(PathSeg::AndLhs));
-                let lb = self.walk(b, &ctx2, &path.child(PathSeg::AndRhs));
+                let la = self.walk(a, &path.child(PathSeg::AndLhs));
+                let lb = self.walk(b, &path.child(PathSeg::AndRhs));
                 join_attrs(la, lb)
             }
             Formula::Or(a, b) => {
-                let la = self.walk(a, ctx, &path.child(PathSeg::OrLhs));
-                let lb = self.walk(b, ctx, &path.child(PathSeg::OrRhs));
+                let la = self.walk(a, &path.child(PathSeg::OrLhs));
+                let lb = self.walk(b, &path.child(PathSeg::OrRhs));
                 join_attrs(la, lb)
             }
             Formula::Implies(a, b) => {
-                let la = self.walk(a, &Rst::empty(), &path.child(PathSeg::ImpliesLhs));
-                let lb = self.walk(b, &Rst::empty(), &path.child(PathSeg::ImpliesRhs));
+                let la = self.walk(a, &path.child(PathSeg::ImpliesLhs));
+                let lb = self.walk(b, &path.child(PathSeg::ImpliesRhs));
                 join_attrs(la, lb)
             }
             Formula::Iff(a, b) => {
-                let la = self.walk(a, &Rst::empty(), &path.child(PathSeg::IffLhs));
-                let lb = self.walk(b, &Rst::empty(), &path.child(PathSeg::IffRhs));
+                let la = self.walk(a, &path.child(PathSeg::IffLhs));
+                let lb = self.walk(b, &path.child(PathSeg::IffRhs));
                 join_attrs(la, lb)
             }
-            Formula::Exists(v, g) => {
-                let inner = self.walk(
-                    g,
-                    &ctx.clone().remove(v),
-                    &path.child(PathSeg::QuantBody(v.clone())),
-                );
-                quantified(inner)
-            }
-            Formula::Forall(v, g) => {
-                let inner = self.walk(g, &Rst::empty(), &path.child(PathSeg::QuantBody(v.clone())));
-                quantified(inner)
-            }
-            Formula::ExistsR(r, v, g) => {
-                let mut inner_ctx = ctx.clone().remove(v);
-                if *r == strcalc_logic::Restrict::Active {
-                    inner_ctx.insert(v.clone());
-                }
-                let inner = self.walk(g, &inner_ctx, &path.child(PathSeg::QuantBody(v.clone())));
-                quantified(inner)
-            }
-            Formula::ForallR(_, v, g) => {
-                let inner = self.walk(g, &Rst::empty(), &path.child(PathSeg::QuantBody(v.clone())));
-                quantified(inner)
+            Formula::Exists(v, g)
+            | Formula::Forall(v, g)
+            | Formula::ExistsR(_, v, g)
+            | Formula::ForallR(_, v, g) => {
+                quantified(self.walk(g, &path.child(PathSeg::QuantBody(v.clone()))))
             }
         };
+        let safe_range = self.node_safe[self.table.len()];
         self.table
-            .push((path.clone(), point_of(f, &attrs, ctx, self.k)));
+            .push((path.clone(), point_of(&attrs, safe_range)));
         attrs
     }
 
@@ -822,7 +817,7 @@ impl Cx<'_> {
                 )),
             }
         }
-        match is_star_free(&l.to_dfa(self.k), self.monoid_cap) {
+        match self.facts.star_free(l, self.k, self.monoid_cap) {
             Ok(true) => StructureClass::S,
             Ok(false) => StructureClass::SReg,
             Err(e) => {
@@ -891,6 +886,10 @@ mod tests {
 
     fn lang(src: &str) -> Lang {
         Lang::named(format!("LIKE {src}"), re(src))
+    }
+
+    fn run(f: &Formula) -> (FragmentAnalysis, Vec<Finding>) {
+        check_alone(f, 2, 100_000, &LangFacts::new())
     }
 
     fn w(src: &str) -> strcalc_alphabet::Str {
@@ -1082,7 +1081,7 @@ mod tests {
             Formula::rel("U", vec![Term::var("y")])
                 .and(Formula::prefix(Term::var("x"), Term::var("y"))),
         );
-        let (analysis, findings) = check(&f, 2, 100_000);
+        let (analysis, findings) = run(&f);
         assert_eq!(analysis.table.len(), 4, "root, and, and two atoms");
         assert!(analysis.root.safe_range);
         assert!(!analysis.root.quantifier_free);
@@ -1118,7 +1117,7 @@ mod tests {
             Term::var("y"),
             Term::var("z"),
         ));
-        let (analysis, findings) = check(&f, 2, 100_000);
+        let (analysis, findings) = run(&f);
         assert!(analysis.root.concat_bounded && !analysis.root.automata_tame);
         assert!(!analysis.root.collapse_safe);
         assert_eq!(analysis.root.structure, StructureClass::Concat);
@@ -1129,7 +1128,7 @@ mod tests {
 
     #[test]
     fn like_findings_name_the_class() {
-        let (_, findings) = check(&like_query("ab.*"), 2, 100_000);
+        let (_, findings) = run(&like_query("ab.*"));
         let sa302: Vec<_> = findings
             .iter()
             .filter(|f| f.code == Code::LikeLinearClass)
@@ -1137,20 +1136,17 @@ mod tests {
         assert_eq!(sa302.len(), 1);
         assert!(sa302[0].message.contains("prefix"));
 
-        let (_, findings) = check(&like_query("a.*b.*a"), 2, 100_000);
+        let (_, findings) = run(&like_query("a.*b.*a"));
         assert!(findings.iter().any(|f| f.code == Code::LikeGeneralClass));
     }
 
     #[test]
     fn structure_tracks_the_figure_one_lattice() {
         let sl = Formula::prepends(Term::var("x"), Term::var("y"), 0);
-        assert_eq!(root_point(&sl, 2, 100_000).structure, StructureClass::SLeft);
+        assert_eq!(run(&sl).0.root.structure, StructureClass::SLeft);
         let sr = Formula::in_lang(Term::var("x"), Lang::new(re("(aa)*")));
-        assert_eq!(root_point(&sr, 2, 100_000).structure, StructureClass::SReg);
+        assert_eq!(run(&sr).0.root.structure, StructureClass::SReg);
         let slen = Formula::eq_len(Term::var("x"), Term::var("y"));
-        assert_eq!(
-            root_point(&slen, 2, 100_000).structure,
-            StructureClass::SLen
-        );
+        assert_eq!(run(&slen).0.root.structure, StructureClass::SLen);
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! `strcalc-analyze` inspects a [`Formula`] *without any database* and
 //! produces structured [`Diagnostic`]s with stable `SA0xx` codes, a
-//! severity, a path into the formula tree, and a rendered message. Four
+//! severity, a path into the formula tree, and a rendered message. Five
 //! passes run in sequence:
 //!
 //! 1. **Signature check** ([`signature`]): infers the minimal structure
@@ -24,6 +24,14 @@
 //!    classifies LIKE patterns into linear vs. general classes, and
 //!    infers the evaluation class the planner keys its strategy on
 //!    (`SA300`–`SA304`; `SA305` belongs to the plan verifier).
+//!
+//! The passes share two pieces of work, each done once per analysis.
+//! Every `in`/`pl` language's DFA, finiteness and star-freeness come
+//! from one [`LangFacts`] table (a compile that also ran
+//! `Query::infer` hands its table over through
+//! [`Analyzer::analyze_with`]). The range-restriction pass records each
+//! subformula's safe-range flag as it walks, and the fragment pass reads
+//! those flags instead of re-deriving them.
 //!
 //! Severities are shaped by per-code [`LintLevel`]s (allow / warn /
 //! deny), mirroring a compiler's lint configuration. The analyzer is
@@ -49,7 +57,7 @@
 use std::collections::BTreeMap;
 
 use strcalc_alphabet::{Alphabet, Sym};
-use strcalc_logic::{Formula, StructureClass};
+use strcalc_logic::{Formula, LangFacts, StructureClass};
 
 pub mod admission;
 pub mod cost;
@@ -125,25 +133,34 @@ impl Analyzer {
         self.levels.get(&code).copied().unwrap_or_default()
     }
 
-    /// Runs all four passes over `f` and returns the aggregated
+    /// Runs all five passes over `f` and returns the aggregated
     /// [`Analysis`]. The alphabet supplies the symbol count for language
     /// compilation; no database is consulted.
     pub fn analyze(&self, alphabet: &Alphabet, f: &Formula) -> Analysis {
+        self.analyze_with(alphabet, f, &LangFacts::new())
+    }
+
+    /// [`Analyzer::analyze`], reading language facts from `facts`: a
+    /// compile passes the table its fragment check already filled, so
+    /// no language is compiled or decided twice.
+    pub fn analyze_with(&self, alphabet: &Alphabet, f: &Formula, facts: &LangFacts) -> Analysis {
         let k = alphabet.len() as Sym;
         let mut findings: Vec<Finding> = Vec::new();
 
-        let (signature, sig_findings) = signature::check(f, self.declared, k, self.monoid_cap);
+        let (signature, sig_findings) =
+            signature::check(f, self.declared, k, self.monoid_cap, facts);
         findings.extend(sig_findings);
 
-        let (safe_range, sr_findings) = saferange::check(f, k);
+        let (safe_range, node_safe, sr_findings) = saferange::check(f, k, facts);
         findings.extend(sr_findings);
 
         findings.extend(scope::check(f));
 
-        let (cost, cost_findings) = cost::check(f, k, self.budget_log2_states);
+        let (cost, cost_findings) = cost::check(f, k, self.budget_log2_states, facts);
         findings.extend(cost_findings);
 
-        let (fragment, fragment_findings) = fragments::check(f, k, self.monoid_cap);
+        let (fragment, fragment_findings) =
+            fragments::check(f, k, self.monoid_cap, facts, &node_safe);
         findings.extend(fragment_findings);
 
         let mut diagnostics: Vec<Diagnostic> = findings

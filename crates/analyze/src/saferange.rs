@@ -51,8 +51,7 @@
 use std::collections::BTreeSet;
 
 use strcalc_alphabet::Sym;
-use strcalc_automata::dfa::Finiteness;
-use strcalc_logic::{Atom, Formula, Restrict, Term};
+use strcalc_logic::{Atom, Formula, LangFacts, Restrict, Term};
 
 use crate::diag::{Code, Finding, FormulaPath, PathSeg};
 
@@ -69,30 +68,30 @@ pub struct SafeRangeInfo {
 /// unsatisfiable subformulas, where every variable is trivially
 /// confined).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) enum Rst {
+enum Rst {
     All,
     Set(BTreeSet<String>),
 }
 
 impl Rst {
-    pub(crate) fn empty() -> Rst {
+    fn empty() -> Rst {
         Rst::Set(BTreeSet::new())
     }
 
-    pub(crate) fn contains(&self, v: &str) -> bool {
+    fn contains(&self, v: &str) -> bool {
         match self {
             Rst::All => true,
             Rst::Set(s) => s.contains(v),
         }
     }
 
-    pub(crate) fn insert(&mut self, v: String) {
+    fn insert(&mut self, v: String) {
         if let Rst::Set(s) = self {
             s.insert(v);
         }
     }
 
-    pub(crate) fn union(self, other: Rst) -> Rst {
+    fn union(self, other: Rst) -> Rst {
         match (self, other) {
             (Rst::All, _) | (_, Rst::All) => Rst::All,
             (Rst::Set(mut a), Rst::Set(b)) => {
@@ -109,7 +108,7 @@ impl Rst {
         }
     }
 
-    pub(crate) fn remove(mut self, v: &str) -> Rst {
+    fn remove(mut self, v: &str) -> Rst {
         if let Rst::Set(s) = &mut self {
             s.remove(v);
         }
@@ -117,19 +116,29 @@ impl Rst {
     }
 }
 
-/// Restricted-variable set of `f` given the variables in `ctx` already
-/// restricted by an enclosing conjunction, with no findings emitted —
-/// the fragment-inference pass samples this per subformula to attach a
-/// safe-range attribute to every node.
-pub(crate) fn restricted_in(f: &Formula, ctx: &Rst, k: Sym) -> Rst {
-    rr(f, ctx, k, &FormulaPath::root(), &mut Vec::new())
-}
-
-/// Runs the pass over `f` (with alphabet size `k`, needed to decide
-/// language finiteness for `in` atoms).
-pub(crate) fn check(f: &Formula, k: Sym) -> (SafeRangeInfo, Vec<Finding>) {
-    let mut findings = Vec::new();
-    let restricted = rr(f, &Rst::empty(), k, &FormulaPath::root(), &mut findings);
+/// Runs the pass over `f` (with alphabet size `k`; language finiteness
+/// for `in`/`pl` atoms comes from `facts`). Besides the summary and the
+/// findings it returns every subformula's safe-range flag — all its free
+/// variables restricted in its conjunction context — in postorder
+/// (children before parents, left before right), which the fragment pass
+/// reads for its per-node lattice points.
+pub(crate) fn check(
+    f: &Formula,
+    k: Sym,
+    facts: &LangFacts,
+) -> (SafeRangeInfo, Vec<bool>, Vec<Finding>) {
+    let mut walk = Walk {
+        k,
+        facts,
+        findings: Vec::new(),
+        node_safe: Vec::new(),
+    };
+    let restricted = walk.walk(f, &Rst::empty(), &FormulaPath::root());
+    let Walk {
+        mut findings,
+        node_safe,
+        ..
+    } = walk;
     let free = f.free_vars();
     let mut restricted_free = BTreeSet::new();
     let mut unrestricted_free = Vec::new();
@@ -160,6 +169,7 @@ pub(crate) fn check(f: &Formula, k: Sym) -> (SafeRangeInfo, Vec<Finding>) {
             restricted: restricted_free,
             unrestricted_free,
         },
+        node_safe,
         findings,
     )
 }
@@ -193,200 +203,241 @@ fn term_finite(t: &Term, ctx: &Rst) -> bool {
     vars.iter().all(|v| ctx.contains(v))
 }
 
-/// Restricted variables contributed by an atom, given variables already
-/// restricted by the surrounding conjunction.
-fn rr_atom(a: &Atom, ctx: &Rst, k: Sym) -> Rst {
-    let mut out = Rst::empty();
-    // One-directional flow: if `src` is finite, `dst`'s preimage is.
-    let flow = |src: &Term, dst: &Term, out: &mut Rst| {
-        if term_finite(src, ctx) {
-            *out = std::mem::replace(out, Rst::empty()).union(rpre_of(dst));
-        }
-    };
-    match a {
-        // Every term value is a database entry: finite unconditionally.
-        Atom::Rel(_, ts) => {
-            for t in ts {
-                out = out.union(rpre_of(t));
-            }
-        }
-        // Bidirectional: either side finite ⇒ the other finite.
-        Atom::Eq(x, y) | Atom::Cover(x, y) | Atom::Prepends(x, y, _) | Atom::EqLen(x, y) => {
-            flow(x, y, &mut out);
-            flow(y, x, &mut out);
-        }
-        // Right side finite ⇒ finitely many left values.
-        Atom::Prefix(x, y)
-        | Atom::StrictPrefix(x, y)
-        | Atom::ShorterEq(x, y)
-        | Atom::Shorter(x, y) => flow(y, x, &mut out),
-        Atom::PL(x, y, l) => {
-            flow(y, x, &mut out);
-            // L finite: y = x·w for finitely many w.
-            if lang_finite(l, k) {
-                flow(x, y, &mut out);
-            }
-        }
-        Atom::InLang(t, l) => {
-            if lang_finite(l, k) {
-                out = out.union(rpre_of(t));
-            }
-        }
-        // c = a·b.
-        Atom::ConcatEq(x, y, z) => {
-            if term_finite(z, ctx) {
-                out = out.union(rpre_of(x)).union(rpre_of(y));
-            }
-            if term_finite(x, ctx) && term_finite(y, ctx) {
-                out = out.union(rpre_of(z));
-            }
-        }
-        // y = x with one symbol inserted after p ⪯ x.
-        Atom::InsertAfter(x, p, y, _) => {
-            if term_finite(x, ctx) {
-                out = out.union(rpre_of(y)).union(rpre_of(p));
-            }
-            if term_finite(y, ctx) {
-                out = out.union(rpre_of(x)).union(rpre_of(p));
-            }
-        }
-        // No finite preimage in either direction.
-        Atom::LastSym(..) | Atom::FirstSym(..) | Atom::LexLeq(..) => {}
+/// The body context of `∃x ∈ r` under `ctx`. Only the active domain is
+/// finite independently of the enclosing variables; dom↓ and the
+/// length-bounded range include values derived from them (see module
+/// docs).
+fn exists_r_ctx(r: &Restrict, v: &str, ctx: &Rst) -> Rst {
+    let mut inner = ctx.clone().remove(v);
+    if *r == Restrict::Active {
+        inner.insert(v.to_string());
     }
-    out
+    inner
 }
 
-fn lang_finite(l: &strcalc_logic::Lang, k: Sym) -> bool {
-    matches!(
-        l.to_dfa(k).finiteness(),
-        Finiteness::Empty | Finiteness::Finite(_)
-    )
-}
-
-/// The restricted-variable set of `f`, given `ctx` already restricted by
-/// the enclosing conjunction. Also emits SA011 findings for unrestricted
-/// existentials over unrestricted variables.
-fn rr(f: &Formula, ctx: &Rst, k: Sym, path: &FormulaPath, findings: &mut Vec<Finding>) -> Rst {
+/// The maximal conjuncts of a conjunction chain, left to right.
+fn conjuncts<'f>(f: &'f Formula, out: &mut Vec<&'f Formula>) {
     match f {
-        Formula::True => Rst::empty(),
-        // Unsatisfiable: every variable is vacuously confined.
-        Formula::False => Rst::All,
-        Formula::Atom(a) => rr_atom(a, ctx, k),
         Formula::And(a, b) => {
-            // Fixpoint: restriction found in one conjunct feeds the other
-            // (e.g. R(x) ∧ y ⪯ x needs x known finite to confine y).
-            let mut acc = Rst::empty();
-            loop {
-                let ctx2 = ctx.clone().union(acc.clone());
-                let next = acc
-                    .clone()
-                    .union(rr(
-                        a,
-                        &ctx2,
-                        k,
-                        &path.child(PathSeg::AndLhs),
-                        &mut Vec::new(),
-                    ))
-                    .union(rr(
-                        b,
-                        &ctx2,
-                        k,
-                        &path.child(PathSeg::AndRhs),
-                        &mut Vec::new(),
-                    ));
-                if next == acc {
-                    break;
+            conjuncts(a, out);
+            conjuncts(b, out);
+        }
+        other => out.push(other),
+    }
+}
+
+/// The walk's state: the alphabet size, the analysis's language facts,
+/// and the outputs of the recording walk.
+struct Walk<'a> {
+    k: Sym,
+    facts: &'a LangFacts,
+    findings: Vec<Finding>,
+    /// Safe-range flag of every subformula, in postorder.
+    node_safe: Vec<bool>,
+}
+
+impl Walk<'_> {
+    /// Restricted variables contributed by an atom, given variables
+    /// already restricted by the surrounding conjunction.
+    fn atom(&self, a: &Atom, ctx: &Rst) -> Rst {
+        let mut out = Rst::empty();
+        // One-directional flow: if `src` is finite, `dst`'s preimage is.
+        let flow = |src: &Term, dst: &Term, out: &mut Rst| {
+            if term_finite(src, ctx) {
+                *out = std::mem::replace(out, Rst::empty()).union(rpre_of(dst));
+            }
+        };
+        match a {
+            // Every term value is a database entry: finite unconditionally.
+            Atom::Rel(_, ts) => {
+                for t in ts {
+                    out = out.union(rpre_of(t));
                 }
-                acc = next;
             }
-            // One non-accumulating pass to emit quantifier findings with
-            // the final context (the fixpoint loop above suppresses them
-            // to avoid duplicates).
+            // Bidirectional: either side finite ⇒ the other finite.
+            Atom::Eq(x, y) | Atom::Cover(x, y) | Atom::Prepends(x, y, _) | Atom::EqLen(x, y) => {
+                flow(x, y, &mut out);
+                flow(y, x, &mut out);
+            }
+            // Right side finite ⇒ finitely many left values.
+            Atom::Prefix(x, y)
+            | Atom::StrictPrefix(x, y)
+            | Atom::ShorterEq(x, y)
+            | Atom::Shorter(x, y) => flow(y, x, &mut out),
+            Atom::PL(x, y, l) => {
+                flow(y, x, &mut out);
+                // L finite: y = x·w for finitely many w.
+                if self.facts.is_finite(l, self.k) {
+                    flow(x, y, &mut out);
+                }
+            }
+            Atom::InLang(t, l) => {
+                if self.facts.is_finite(l, self.k) {
+                    out = out.union(rpre_of(t));
+                }
+            }
+            // c = a·b.
+            Atom::ConcatEq(x, y, z) => {
+                if term_finite(z, ctx) {
+                    out = out.union(rpre_of(x)).union(rpre_of(y));
+                }
+                if term_finite(x, ctx) && term_finite(y, ctx) {
+                    out = out.union(rpre_of(z));
+                }
+            }
+            // y = x with one symbol inserted after p ⪯ x.
+            Atom::InsertAfter(x, p, y, _) => {
+                if term_finite(x, ctx) {
+                    out = out.union(rpre_of(y)).union(rpre_of(p));
+                }
+                if term_finite(y, ctx) {
+                    out = out.union(rpre_of(x)).union(rpre_of(p));
+                }
+            }
+            // No finite preimage in either direction.
+            Atom::LastSym(..) | Atom::FirstSym(..) | Atom::LexLeq(..) => {}
+        }
+        out
+    }
+
+    /// The restricted-variable set of `f`, given `ctx` already restricted
+    /// by the enclosing conjunction. Builds no findings and no paths: the
+    /// conjunction fixpoint calls it every round.
+    fn restricted(&self, f: &Formula, ctx: &Rst) -> Rst {
+        match f {
+            Formula::True => Rst::empty(),
+            // Unsatisfiable: every variable is vacuously confined.
+            Formula::False => Rst::All,
+            Formula::Atom(a) => self.atom(a, ctx),
+            Formula::And(..) => {
+                let mut parts = Vec::new();
+                conjuncts(f, &mut parts);
+                self.fixpoint(&parts, ctx)
+            }
+            Formula::Or(a, b) => self.restricted(a, ctx).intersect(self.restricted(b, ctx)),
+            // Negative / mixed-polarity contexts restrict nothing.
+            Formula::Not(_)
+            | Formula::Implies(..)
+            | Formula::Iff(..)
+            | Formula::Forall(..)
+            | Formula::ForallR(..) => Rst::empty(),
+            Formula::Exists(v, g) => self.restricted(g, &ctx.clone().remove(v)).remove(v),
+            Formula::ExistsR(r, v, g) => self.restricted(g, &exists_r_ctx(r, v, ctx)).remove(v),
+        }
+    }
+
+    /// The least set `S` with `S = ⋃ᵢ restricted(cᵢ, ctx ∪ S)` over a
+    /// chain's conjuncts: restriction found in one conjunct feeds the
+    /// others (e.g. `R(x) ∧ y ⪯ x` needs `x` known finite to confine
+    /// `y`). Solving the flattened chain at once gives the same set as
+    /// nesting one fixpoint per binary `∧` (every conjunct is monotone
+    /// in its context), without re-solving the inner ones each round.
+    fn fixpoint(&self, parts: &[&Formula], ctx: &Rst) -> Rst {
+        let mut acc = Rst::empty();
+        loop {
             let ctx2 = ctx.clone().union(acc.clone());
-            rr(a, &ctx2, k, &path.child(PathSeg::AndLhs), findings);
-            rr(b, &ctx2, k, &path.child(PathSeg::AndRhs), findings);
-            acc
-        }
-        Formula::Or(a, b) => {
-            let ra = rr(a, ctx, k, &path.child(PathSeg::OrLhs), findings);
-            let rb = rr(b, ctx, k, &path.child(PathSeg::OrRhs), findings);
-            ra.intersect(rb)
-        }
-        // Negative / mixed-polarity contexts restrict nothing, but still
-        // get walked for SA011.
-        Formula::Not(g) => {
-            rr(g, &Rst::empty(), k, &path.child(PathSeg::NotArg), findings);
-            Rst::empty()
-        }
-        Formula::Implies(a, b) => {
-            rr(
-                a,
-                &Rst::empty(),
-                k,
-                &path.child(PathSeg::ImpliesLhs),
-                findings,
-            );
-            rr(
-                b,
-                &Rst::empty(),
-                k,
-                &path.child(PathSeg::ImpliesRhs),
-                findings,
-            );
-            Rst::empty()
-        }
-        Formula::Iff(a, b) => {
-            rr(a, &Rst::empty(), k, &path.child(PathSeg::IffLhs), findings);
-            rr(b, &Rst::empty(), k, &path.child(PathSeg::IffRhs), findings);
-            Rst::empty()
-        }
-        Formula::Exists(v, g) => {
-            let body_path = path.child(PathSeg::QuantBody(v.clone()));
-            let inner = rr(g, &ctx.clone().remove(v), k, &body_path, findings);
-            if !inner.contains(v) {
-                findings.push(Finding::new(
-                    Code::QuantifierNotRangeRestricted,
-                    path.clone(),
-                    format!(
-                        "existentially quantified variable {v} is not range-restricted \
-                         in its scope: evaluation must search an unbounded domain"
-                    ),
-                ));
+            let mut next = acc.clone();
+            for part in parts {
+                next = next.union(self.restricted(part, &ctx2));
             }
-            inner.remove(v)
-        }
-        // ∀ is ¬∃¬: nothing restricted; walk the body for SA011.
-        Formula::Forall(v, g) => {
-            rr(
-                g,
-                &Rst::empty(),
-                k,
-                &path.child(PathSeg::QuantBody(v.clone())),
-                findings,
-            );
-            Rst::empty()
-        }
-        Formula::ExistsR(r, v, g) => {
-            let mut inner_ctx = ctx.clone().remove(v);
-            // Only the active domain is finite independently of the
-            // enclosing variables; dom↓ and the length-bounded range
-            // include values derived from them (see module docs).
-            if *r == Restrict::Active {
-                inner_ctx.insert(v.clone());
+            if next == acc {
+                return acc;
             }
-            let body_path = path.child(PathSeg::QuantBody(v.clone()));
-            rr(g, &inner_ctx, k, &body_path, findings).remove(v)
+            acc = next;
         }
-        Formula::ForallR(_, v, g) => {
-            rr(
-                g,
-                &Rst::empty(),
-                k,
-                &path.child(PathSeg::QuantBody(v.clone())),
-                findings,
-            );
-            Rst::empty()
+    }
+
+    /// [`Walk::restricted`] once more, recording along the way: SA011
+    /// findings for unrestricted existentials over unrestricted
+    /// variables, and the safe-range flag of every node.
+    fn walk(&mut self, f: &Formula, ctx: &Rst, path: &FormulaPath) -> Rst {
+        let restricted = match f {
+            Formula::True | Formula::False | Formula::Atom(_) => self.restricted(f, ctx),
+            Formula::And(a, b) => {
+                let mut parts = Vec::new();
+                conjuncts(f, &mut parts);
+                let acc = self.fixpoint(&parts, ctx);
+                let ctx2 = ctx.clone().union(acc.clone());
+                self.chain(a, &ctx2, &path.child(PathSeg::AndLhs));
+                self.chain(b, &ctx2, &path.child(PathSeg::AndRhs));
+                acc
+            }
+            Formula::Or(a, b) => {
+                let ra = self.walk(a, ctx, &path.child(PathSeg::OrLhs));
+                let rb = self.walk(b, ctx, &path.child(PathSeg::OrRhs));
+                ra.intersect(rb)
+            }
+            // Negative / mixed-polarity contexts restrict nothing, but
+            // still get walked for SA011.
+            Formula::Not(g) => {
+                self.walk(g, &Rst::empty(), &path.child(PathSeg::NotArg));
+                Rst::empty()
+            }
+            Formula::Implies(a, b) => {
+                self.walk(a, &Rst::empty(), &path.child(PathSeg::ImpliesLhs));
+                self.walk(b, &Rst::empty(), &path.child(PathSeg::ImpliesRhs));
+                Rst::empty()
+            }
+            Formula::Iff(a, b) => {
+                self.walk(a, &Rst::empty(), &path.child(PathSeg::IffLhs));
+                self.walk(b, &Rst::empty(), &path.child(PathSeg::IffRhs));
+                Rst::empty()
+            }
+            Formula::Exists(v, g) => {
+                let body_path = path.child(PathSeg::QuantBody(v.clone()));
+                let inner = self.walk(g, &ctx.clone().remove(v), &body_path);
+                if !inner.contains(v) {
+                    self.findings.push(Finding::new(
+                        Code::QuantifierNotRangeRestricted,
+                        path.clone(),
+                        format!(
+                            "existentially quantified variable {v} is not range-restricted \
+                             in its scope: evaluation must search an unbounded domain"
+                        ),
+                    ));
+                }
+                inner.remove(v)
+            }
+            // ∀ is ¬∃¬: nothing restricted; walk the body for SA011.
+            Formula::Forall(v, g) | Formula::ForallR(_, v, g) => {
+                self.walk(g, &Rst::empty(), &path.child(PathSeg::QuantBody(v.clone())));
+                Rst::empty()
+            }
+            Formula::ExistsR(r, v, g) => {
+                let body_path = path.child(PathSeg::QuantBody(v.clone()));
+                self.walk(g, &exists_r_ctx(r, v, ctx), &body_path).remove(v)
+            }
+        };
+        self.record(f, ctx, &restricted);
+        restricted
+    }
+
+    /// Walks a node inside a conjunction chain whose top `∧` has solved
+    /// the fixpoint, with `ctx2` its closed context. Every node of the
+    /// chain sees `ctx2` unchanged, and an inner `∧`'s own fixpoint under
+    /// `ctx2` stops after one round at the union of its conjuncts' sets,
+    /// so the chain is walked without solving it again.
+    fn chain(&mut self, f: &Formula, ctx2: &Rst, path: &FormulaPath) -> Rst {
+        match f {
+            Formula::And(a, b) => {
+                let ra = self.chain(a, ctx2, &path.child(PathSeg::AndLhs));
+                let rb = self.chain(b, ctx2, &path.child(PathSeg::AndRhs));
+                let restricted = ra.union(rb);
+                self.record(f, ctx2, &restricted);
+                restricted
+            }
+            _ => self.walk(f, ctx2, path),
         }
+    }
+
+    /// Records `f`'s safe-range flag: every free variable restricted by
+    /// `f` itself or by its context.
+    fn record(&mut self, f: &Formula, ctx: &Rst, restricted: &Rst) {
+        let safe = f
+            .free_vars()
+            .iter()
+            .all(|v| restricted.contains(v) || ctx.contains(v));
+        self.node_safe.push(safe);
     }
 }
 
@@ -397,6 +448,13 @@ mod tests {
     use strcalc_alphabet::Alphabet;
     use strcalc_automata::Regex;
     use strcalc_logic::Lang;
+
+    /// The pass with a fresh language-fact table, without the per-node
+    /// flags.
+    fn check(f: &Formula, k: Sym) -> (SafeRangeInfo, Vec<Finding>) {
+        let (info, _, findings) = super::check(f, k, &LangFacts::new());
+        (info, findings)
+    }
 
     fn sa010(findings: &[Finding]) -> Vec<&Finding> {
         findings

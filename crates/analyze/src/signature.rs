@@ -14,8 +14,7 @@
 //! [`Code::StarFreeUndecided`] finding is recorded instead of an error.
 
 use strcalc_alphabet::Sym;
-use strcalc_automata::starfree::is_star_free;
-use strcalc_logic::{Atom, Formula, StructureClass, Term};
+use strcalc_logic::{Atom, Formula, LangFacts, StructureClass, Term};
 
 use crate::diag::{Code, Finding, FormulaPath, PathSeg};
 
@@ -33,7 +32,7 @@ pub struct SignatureInfo {
 /// but never fails — languages whose star-freeness is undecided under
 /// `monoid_cap` are conservatively classified `S_reg`.
 pub fn infer(f: &Formula, k: Sym, monoid_cap: usize) -> StructureClass {
-    let (info, _) = check(f, StructureClass::Concat, k, monoid_cap);
+    let (info, _) = check(f, StructureClass::Concat, k, monoid_cap, &LangFacts::new());
     info.inferred
 }
 
@@ -44,11 +43,13 @@ pub(crate) fn check(
     declared: StructureClass,
     k: Sym,
     monoid_cap: usize,
+    facts: &LangFacts,
 ) -> (SignatureInfo, Vec<Finding>) {
     let mut cx = Cx {
         declared,
         k,
         monoid_cap,
+        facts,
         inferred: StructureClass::S,
         star_free_undecided: 0,
         findings: Vec::new(),
@@ -63,16 +64,17 @@ pub(crate) fn check(
     )
 }
 
-struct Cx {
+struct Cx<'a> {
     declared: StructureClass,
     k: Sym,
     monoid_cap: usize,
+    facts: &'a LangFacts,
     inferred: StructureClass,
     star_free_undecided: usize,
     findings: Vec<Finding>,
 }
 
-impl Cx {
+impl Cx<'_> {
     fn formula(&mut self, f: &Formula, path: &FormulaPath) {
         match f {
             Formula::True | Formula::False => {}
@@ -113,8 +115,7 @@ impl Cx {
             Atom::ConcatEq(..) => StructureClass::Concat,
             Atom::InsertAfter(..) => StructureClass::SLen,
             Atom::InLang(_, l) | Atom::PL(_, _, l) => {
-                let dfa = l.to_dfa(self.k);
-                match is_star_free(&dfa, self.monoid_cap) {
+                match self.facts.star_free(l, self.k, self.monoid_cap) {
                     Ok(true) => StructureClass::S,
                     Ok(false) => StructureClass::SReg,
                     Err(e) => {
@@ -244,6 +245,16 @@ mod tests {
     use strcalc_alphabet::Alphabet;
     use strcalc_automata::Regex;
     use strcalc_logic::Lang;
+
+    /// The pass with a fresh language-fact table.
+    fn check(
+        f: &Formula,
+        declared: StructureClass,
+        k: Sym,
+        monoid_cap: usize,
+    ) -> (SignatureInfo, Vec<Finding>) {
+        super::check(f, declared, k, monoid_cap, &LangFacts::new())
+    }
 
     fn re(t: &str) -> Regex {
         Regex::parse(&Alphabet::ab(), t).unwrap()

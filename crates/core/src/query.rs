@@ -4,10 +4,14 @@ use std::fmt;
 
 use strcalc_alphabet::{Alphabet, Str};
 use strcalc_analyze::{Analysis, Analyzer};
-use strcalc_logic::transform::fragment;
-use strcalc_logic::{CompileError, Formula, LogicError, StructureClass};
+use strcalc_logic::transform::fragment_with;
+use strcalc_logic::{CompileError, Formula, LangFacts, LogicError, StructureClass};
 use strcalc_relational::{DbError, RaError, Relation};
 use strcalc_synchro::SynchroError;
+
+/// Monoid cap under which queries decide star-freeness of their
+/// languages.
+const MONOID_CAP: usize = 1_000_000;
 
 /// The four tame calculi of the paper (Figure 1, minus the
 /// computationally complete `RC_concat`, which lives in
@@ -221,19 +225,43 @@ impl Query {
         head: Vec<String>,
         formula: Formula,
     ) -> Result<Query, CoreError> {
+        Query::new_with(calculus, alphabet, head, formula, &LangFacts::new())
+    }
+
+    /// [`Query::new`], deciding star-freeness through `facts`.
+    fn new_with(
+        calculus: Calculus,
+        alphabet: Alphabet,
+        head: Vec<String>,
+        formula: Formula,
+        facts: &LangFacts,
+    ) -> Result<Query, CoreError> {
+        let query = Query::with_head(calculus, alphabet, head, formula)?;
+        let k = query.alphabet.len() as u8;
+        let inferred = fragment_with(&query.formula, k, MONOID_CAP, facts)?;
+        if !inferred.leq(calculus.structure_class()) {
+            return Err(CoreError::FragmentViolation {
+                declared: calculus,
+                inferred,
+            });
+        }
+        Ok(query)
+    }
+
+    /// Builds a query after checking only that the head lists exactly
+    /// the free variables. The caller vouches for the calculus.
+    fn with_head(
+        calculus: Calculus,
+        alphabet: Alphabet,
+        head: Vec<String>,
+        formula: Formula,
+    ) -> Result<Query, CoreError> {
         let free: Vec<String> = formula.free_vars().into_iter().collect();
         let mut head_sorted = head.clone();
         head_sorted.sort();
         head_sorted.dedup();
         if head_sorted != free || head_sorted.len() != head.len() {
             return Err(CoreError::HeadMismatch { head, free });
-        }
-        let inferred = fragment(&formula, alphabet.len() as u8, 1_000_000)?;
-        if !inferred.leq(calculus.structure_class()) {
-            return Err(CoreError::FragmentViolation {
-                declared: calculus,
-                inferred,
-            });
         }
         Ok(Query {
             calculus,
@@ -249,7 +277,19 @@ impl Query {
         head: Vec<String>,
         formula: Formula,
     ) -> Result<Query, CoreError> {
-        let inferred = fragment(&formula, alphabet.len() as u8, 1_000_000)?;
+        Query::infer_with(alphabet, head, formula, &LangFacts::new())
+    }
+
+    /// [`Query::infer`], deciding star-freeness through `facts`: a
+    /// compile that analyzes the query afterwards hands the same table
+    /// to [`Analyzer::analyze_with`], so each language is decided once.
+    pub fn infer_with(
+        alphabet: Alphabet,
+        head: Vec<String>,
+        formula: Formula,
+        facts: &LangFacts,
+    ) -> Result<Query, CoreError> {
+        let inferred = fragment_with(&formula, alphabet.len() as u8, MONOID_CAP, facts)?;
         let calculus = match inferred {
             StructureClass::S => Calculus::S,
             StructureClass::SLeft => Calculus::SLeft,
@@ -261,7 +301,9 @@ impl Query {
                 ))
             }
         };
-        Query::new(calculus, alphabet, head, formula)
+        // The calculus is the inferred one, so only the head needs
+        // checking.
+        Query::with_head(calculus, alphabet, head, formula)
     }
 
     /// Parses the formula from concrete syntax and builds a query.
@@ -277,7 +319,7 @@ impl Query {
 
     /// Builds a query with the full static analyzer in the loop
     /// (opt-in: [`Query::new`] only enforces the fragment check). Runs
-    /// `strcalc-analyze`'s four passes with default lint levels; if any
+    /// `strcalc-analyze`'s five passes with default lint levels; if any
     /// diagnostic is error-level the query is rejected with
     /// [`CoreError::StaticAnalysis`], otherwise the query is returned
     /// together with the [`Analysis`] (whose warnings and notes the
@@ -302,13 +344,14 @@ impl Query {
         configure: impl FnOnce(Analyzer) -> Analyzer,
     ) -> Result<(Query, Analysis), CoreError> {
         // Same monoid cap as `Query::new`, so the two paths agree on
-        // star-freeness.
-        let analyzer = configure(Analyzer::new(calculus.structure_class()).monoid_cap(1_000_000));
-        let analysis = analyzer.analyze(&alphabet, &formula);
+        // star-freeness and share its verdicts through one table.
+        let analyzer = configure(Analyzer::new(calculus.structure_class()).monoid_cap(MONOID_CAP));
+        let facts = LangFacts::new();
+        let analysis = analyzer.analyze_with(&alphabet, &formula, &facts);
         if analysis.has_errors() {
             return Err(CoreError::StaticAnalysis(Box::new(analysis)));
         }
-        let query = Query::new(calculus, alphabet, head, formula)?;
+        let query = Query::new_with(calculus, alphabet, head, formula, &facts)?;
         Ok((query, analysis))
     }
 

@@ -14,11 +14,13 @@
 //! [`Formula`]s with both unrestricted and *restricted* quantifiers (the
 //! paper's `∃x ∈ adom`, `∃x ∈ dom↓`, `∃|x| ≤ adom`), a concrete-syntax
 //! [`parser`], transformations (negation normal form, bound-variable
-//! freshening, quantifier rank), and **fragment inference**
+//! freshening, quantifier rank), **fragment inference**
 //! ([`StructureClass`]): the least structure in Figure 1's lattice that a
-//! formula's atoms fit into.
+//! formula's atoms fit into, and the per-compile table of language facts
+//! ([`LangFacts`]) that inference and static analysis share.
 
 pub mod compile;
+pub mod facts;
 pub mod formula;
 pub mod intern;
 pub mod parser;
@@ -26,6 +28,7 @@ pub mod rewrite;
 pub mod transform;
 
 pub use compile::{CompileError, Compiled, Compiler, RelResolver, Resolved};
+pub use facts::LangFacts;
 pub use formula::{Atom, Formula, Lang, Restrict, Term};
 pub use intern::{alpha_eq, fingerprint, lang_fingerprint, Fp, Interner};
 pub use parser::parse_formula;

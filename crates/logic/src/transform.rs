@@ -3,8 +3,8 @@
 use std::collections::{BTreeSet, HashMap};
 
 use strcalc_alphabet::Sym;
-use strcalc_automata::starfree::is_star_free;
 
+use crate::facts::LangFacts;
 use crate::formula::{Atom, Formula, Term};
 use crate::LogicError;
 
@@ -66,6 +66,18 @@ impl StructureClass {
 /// term of `f`. `InLang`/`P_L` atoms require deciding star-freeness of
 /// their language, hence the alphabet size `k` and a monoid cap.
 pub fn fragment(f: &Formula, k: Sym, monoid_cap: usize) -> Result<StructureClass, LogicError> {
+    fragment_with(f, k, monoid_cap, &LangFacts::new())
+}
+
+/// [`fragment`], reading star-freeness verdicts from `facts` — the
+/// table the rest of the compile shares, so each language is decided
+/// once.
+pub fn fragment_with(
+    f: &Formula,
+    k: Sym,
+    monoid_cap: usize,
+    facts: &LangFacts,
+) -> Result<StructureClass, LogicError> {
     let mut class = StructureClass::S;
     let mut err: Option<LogicError> = None;
     f.visit(&mut |sub| {
@@ -86,17 +98,14 @@ pub fn fragment(f: &Formula, k: Sym, monoid_cap: usize) -> Result<StructureClass
                 // (Section 4); typed conservatively at S_len because its
                 // exact lattice position is the paper's open question.
                 Atom::InsertAfter(..) => StructureClass::SLen,
-                Atom::InLang(_, l) | Atom::PL(_, _, l) => {
-                    let dfa = l.to_dfa(k);
-                    match is_star_free(&dfa, monoid_cap) {
-                        Ok(true) => StructureClass::S,
-                        Ok(false) => StructureClass::SReg,
-                        Err(e) => {
-                            err = Some(LogicError::StarFreeUndecided(e.to_string()));
-                            StructureClass::SReg
-                        }
+                Atom::InLang(_, l) | Atom::PL(_, _, l) => match facts.star_free(l, k, monoid_cap) {
+                    Ok(true) => StructureClass::S,
+                    Ok(false) => StructureClass::SReg,
+                    Err(e) => {
+                        err = Some(LogicError::StarFreeUndecided(e.to_string()));
+                        StructureClass::SReg
                     }
-                }
+                },
                 _ => StructureClass::S,
             };
             class = class.join(c);

@@ -12,7 +12,7 @@ use strcalc_core::plan::{PlanChecker, PlanLintReport};
 use strcalc_core::{
     AutomataEngine, AutomatonCache, Calculus, CoreError, Plan, Planner, PreparedQuery, Query,
 };
-use strcalc_logic::{Formula, Lang, Rewriter, Term};
+use strcalc_logic::{Formula, Lang, LangFacts, Rewriter, Term};
 use strcalc_verify::{Validator, VerifiedRewriter};
 
 use crate::parser::{Catalog, Cond, LenOp, Select, SqlError, SqlTerm};
@@ -134,16 +134,29 @@ pub fn compile_select_analyzed(
     stmt: &Select,
     lints: &[(Code, LintLevel)],
 ) -> Result<CompiledSql, SqlError> {
-    let mut compiled = compile_raw(alphabet, catalog, stmt)?;
+    // One language-fact table for the whole compile, dropped with it.
+    compile_analyzed_in(alphabet, catalog, stmt, lints, &LangFacts::new())
+}
+
+/// [`compile_select_analyzed`] with its language-fact table: inference
+/// and every analysis pass read each language's DFA facts from `facts`.
+fn compile_analyzed_in(
+    alphabet: &Alphabet,
+    catalog: &Catalog,
+    stmt: &Select,
+    lints: &[(Code, LintLevel)],
+    facts: &LangFacts,
+) -> Result<CompiledSql, SqlError> {
+    let mut compiled = compile_raw(alphabet, catalog, stmt, facts)?;
     // Analyze against the calculus the query was inferred into, with the
     // same monoid cap `Query::infer` used, so star-freeness verdicts
-    // agree between the two layers.
+    // agree between the two layers (and are decided once).
     let mut analyzer =
         Analyzer::new(compiled.query.calculus.structure_class()).monoid_cap(1_000_000);
     for (code, level) in lints {
         analyzer = analyzer.lint(*code, *level);
     }
-    let analysis = analyzer.analyze(alphabet, &compiled.query.formula);
+    let analysis = analyzer.analyze_with(alphabet, &compiled.query.formula, facts);
     if analysis.has_errors() {
         let errors: Vec<&strcalc_analyze::Diagnostic> = analysis
             .diagnostics
@@ -279,11 +292,13 @@ fn compile_select_verified_inner(
     Ok(compiled)
 }
 
-/// The compilation itself, without analysis.
+/// The compilation itself, without analysis; inference reads and fills
+/// `facts`.
 fn compile_raw(
     alphabet: &Alphabet,
     catalog: &Catalog,
     stmt: &Select,
+    facts: &LangFacts,
 ) -> Result<CompiledSql, SqlError> {
     let mut ctx = Ctx {
         alphabet,
@@ -311,7 +326,7 @@ fn compile_raw(
 
     let column_names: Vec<String> = stmt.columns.iter().map(render_term_name).collect();
 
-    let query = Query::infer(alphabet.clone(), head, formula)
+    let query = Query::infer_with(alphabet.clone(), head, formula, facts)
         .map_err(|e| SqlError::new(0, format!("compilation failed: {e}")))?;
     Ok(CompiledSql {
         query,
@@ -579,6 +594,25 @@ mod tests {
         let (compiled, rows) = run("SELECT f.name FROM faculty f WHERE f.name LIKE 'a%'");
         assert_eq!(compiled.calculus(), Calculus::S);
         assert_eq!(rows.len(), 2); // ab, abb
+    }
+
+    #[test]
+    fn one_fact_entry_per_distinct_language() {
+        // Two filters, two languages: inference and all five analysis
+        // passes share one table, so each language is compiled once.
+        let stmt = parse_select(
+            &ab(),
+            "SELECT f.name, f.dept FROM faculty f \
+             WHERE f.name LIKE 'ab%' AND f.dept LIKE '%b'",
+        )
+        .unwrap();
+        let facts = LangFacts::new();
+        let compiled = compile_analyzed_in(&ab(), &catalog(), &stmt, &[], &facts).unwrap();
+        assert_eq!(facts.len(), 2);
+        // The shared table changes nothing the analysis reports.
+        let fresh = compile_select(&ab(), &catalog(), &stmt).unwrap();
+        assert_eq!(compiled.analysis, fresh.analysis);
+        assert_eq!(compiled.query, fresh.query);
     }
 
     #[test]
