@@ -15,7 +15,7 @@
 
 use criterion::{BenchmarkId, Criterion};
 use strcalc_bench::{ab, unary_db};
-use strcalc_core::{Budget, Calculus, ExecCx, Plan, Planner, Query};
+use strcalc_core::{Budget, Calculus, ExecCx, Mode, Plan, Planner, Query};
 use strcalc_relational::Database;
 
 fn probe(calc: Calculus) -> Query {
@@ -70,13 +70,18 @@ fn bench(c: &mut Criterion) {
     for (name, plan, case_db) in &cases {
         group.bench_with_input(BenchmarkId::new("unarmed", name), plan, |b, plan| {
             b.iter(|| {
-                plan.execute_with_ctx(case_db, &Budget::unlimited(), &ExecCx::production())
-                    .expect("probes evaluate")
+                plan.run(
+                    case_db,
+                    &Budget::unlimited(),
+                    &ExecCx::production(),
+                    Mode::Rows,
+                )
+                .expect("probes evaluate")
             })
         });
         group.bench_with_input(BenchmarkId::new("armed", name), plan, |b, plan| {
             b.iter(|| {
-                plan.execute_with_ctx(case_db, &armed(), &ExecCx::production())
+                plan.run(case_db, &armed(), &ExecCx::production(), Mode::Rows)
                     .expect("probes evaluate")
             })
         });
@@ -98,13 +103,18 @@ fn bench(c: &mut Criterion) {
         for _ in 0..iters {
             let t0 = std::time::Instant::now();
             let (out0, r0) = plan
-                .execute_with_ctx(case_db, &Budget::unlimited(), &ExecCx::production())
+                .run(
+                    case_db,
+                    &Budget::unlimited(),
+                    &ExecCx::production(),
+                    Mode::Rows,
+                )
                 .expect("probes evaluate");
             let base = t0.elapsed().as_secs_f64();
 
             let t1 = std::time::Instant::now();
             let (out1, r1) = plan
-                .execute_with_ctx(case_db, &armed(), &ExecCx::production())
+                .run(case_db, &armed(), &ExecCx::production(), Mode::Rows)
                 .expect("probes evaluate");
             let timed = t1.elapsed().as_secs_f64();
 

@@ -29,7 +29,7 @@ use strcalc_logic::{Formula, StructureClass, Term};
 use strcalc_relational::{Database, Relation};
 
 use crate::clock::Deadline;
-use crate::enumeval::DomainEvaluator;
+use crate::enumeval::{require_sentence, DomainEvaluator};
 use crate::query::CoreError;
 
 /// Bounded-search evaluation for `RC_concat` formulas.
@@ -58,48 +58,22 @@ impl ConcatEvaluator {
         head: &[String],
         db: &Database,
     ) -> Result<Relation, CoreError> {
-        let free = formula.free_vars();
-        let mut head_sorted: Vec<String> = head.to_vec();
-        head_sorted.sort();
-        let free_sorted: Vec<String> = free.into_iter().collect();
-        if head_sorted != free_sorted {
-            return Err(CoreError::HeadMismatch {
-                head: head.to_vec(),
-                free: free_sorted,
-            });
-        }
-        let domain = self.domain();
-        let mut ev = DomainEvaluator::new(&self.alphabet, db, domain.clone(), false);
-        let mut out = Relation::new(head.len());
-        let mut env = std::collections::HashMap::new();
-        let mut tuple = vec![Str::epsilon(); head.len()];
-        search(
-            formula, head, &domain, &mut ev, &mut env, 0, &mut tuple, &mut out,
-        )?;
-        Ok(out)
+        Ok(self
+            .eval_deadlined(formula, head, db, &Deadline::unlimited())?
+            .0)
     }
 
     /// Evaluates a sentence under the bounded semantics.
     pub fn eval_bool(&self, formula: &Formula, db: &Database) -> Result<bool, CoreError> {
-        if !formula.free_vars().is_empty() {
-            return Err(CoreError::Unsupported(
-                "eval_bool requires a sentence".into(),
-            ));
-        }
-        let domain = self.domain();
-        let mut ev = DomainEvaluator::new(&self.alphabet, db, domain, false);
-        let mut env = std::collections::HashMap::new();
-        ev.eval(formula, &mut env)
+        require_sentence(formula.free_vars().is_empty())?;
+        Ok(!self.eval(formula, &[], db)?.is_empty())
     }
 
     /// [`ConcatEvaluator::eval`] under a cooperative deadline, polled
     /// once per depth-0 assignment (the search's outermost frontier —
     /// each frontier step covers `|Σ^{≤B}|^(arity-1)` inner work, so
-    /// the poll is coarse). On expiry the search stops and returns the
-    /// assignments explored so far: every emitted tuple was fully
-    /// verified, so the partial answer is a sound subset of the bounded
-    /// answer. Returns `(tuples, depth0_assignments_completed,
-    /// truncated)`.
+    /// the poll is coarse; see [`DomainEvaluator::enumerate`]). Returns
+    /// `(tuples, depth0_assignments_completed, truncated)`.
     pub fn eval_deadlined(
         &self,
         formula: &Formula,
@@ -107,117 +81,24 @@ impl ConcatEvaluator {
         db: &Database,
         deadline: &Deadline,
     ) -> Result<(Relation, usize, bool), CoreError> {
-        let free = formula.free_vars();
         let mut head_sorted: Vec<String> = head.to_vec();
         head_sorted.sort();
-        let free_sorted: Vec<String> = free.into_iter().collect();
+        let free_sorted: Vec<String> = formula.free_vars().into_iter().collect();
         if head_sorted != free_sorted {
             return Err(CoreError::HeadMismatch {
                 head: head.to_vec(),
                 free: free_sorted,
             });
         }
-        let domain = self.domain();
-        let mut ev = DomainEvaluator::new(&self.alphabet, db, domain.clone(), false)
-            .with_deadline(deadline.clone());
-        let mut out = Relation::new(head.len());
-        let mut env = std::collections::HashMap::new();
-        let mut tuple = vec![Str::epsilon(); head.len()];
-        let mut explored = 0usize;
-        let mut truncated = false;
-        if head.is_empty() {
-            if deadline.checkpoint() {
-                return Ok((out, 0, true));
-            }
-            match search(
-                formula, head, &domain, &mut ev, &mut env, 0, &mut tuple, &mut out,
-            ) {
-                Ok(()) => explored = 1,
-                Err(CoreError::DeadlineExpired { .. }) => truncated = true,
-                Err(e) => return Err(e),
-            }
-            return Ok((out, explored, truncated));
-        }
-        for c in &domain {
-            if deadline.checkpoint() {
-                truncated = true;
-                break;
-            }
-            env.insert(head[0].clone(), c.clone());
-            tuple[0] = c.clone();
-            match search(
-                formula, head, &domain, &mut ev, &mut env, 1, &mut tuple, &mut out,
-            ) {
-                Ok(()) => explored += 1,
-                Err(CoreError::DeadlineExpired { .. }) => {
-                    truncated = true;
-                    break;
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        Ok((out, explored, truncated))
-    }
-
-    /// [`ConcatEvaluator::eval_bool`] under a cooperative deadline.
-    /// Returns `(value, explored, truncated)`; a truncated run reports
-    /// `false` — no witness was established before the fire — and the
-    /// caller downgrades the verdict accordingly.
-    pub fn eval_bool_deadlined(
-        &self,
-        formula: &Formula,
-        db: &Database,
-        deadline: &Deadline,
-    ) -> Result<(bool, usize, bool), CoreError> {
-        if !formula.free_vars().is_empty() {
-            return Err(CoreError::Unsupported(
-                "eval_bool requires a sentence".into(),
-            ));
-        }
-        let domain = self.domain();
-        let mut ev =
-            DomainEvaluator::new(&self.alphabet, db, domain, false).with_deadline(deadline.clone());
-        let mut env = std::collections::HashMap::new();
-        if deadline.checkpoint() {
-            return Ok((false, 0, true));
-        }
-        match ev.eval(formula, &mut env) {
-            Ok(v) => Ok((v, 1, false)),
-            Err(CoreError::DeadlineExpired { .. }) => Ok((false, 1, true)),
-            Err(e) => Err(e),
-        }
+        DomainEvaluator::new(&self.alphabet, db, self.domain(), false)
+            .with_deadline(deadline.clone())
+            .enumerate(formula, head)
     }
 
     /// The size of the bounded search space (for the blow-up benchmarks).
     pub fn domain_size(&self) -> usize {
         self.alphabet.count_up_to(self.bound)
     }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn search(
-    formula: &Formula,
-    head: &[String],
-    domain: &[Str],
-    ev: &mut DomainEvaluator<'_>,
-    env: &mut std::collections::HashMap<String, Str>,
-    depth: usize,
-    tuple: &mut Vec<Str>,
-    out: &mut Relation,
-) -> Result<(), CoreError> {
-    if depth == head.len() {
-        if ev.eval(formula, env)? {
-            out.insert(tuple.clone());
-        }
-        return Ok(());
-    }
-    for c in domain {
-        env.insert(head[depth].clone(), c.clone());
-        tuple[depth] = c.clone();
-        search(formula, head, domain, ev, env, depth + 1, tuple, out)?;
-    }
-    env.remove(&head[depth]);
-    Ok(())
 }
 
 /// The copy-language query `φ(x) = ∃y (x = y·y)` — `RC_concat`'s

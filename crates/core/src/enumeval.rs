@@ -115,60 +115,18 @@ impl EnumEngine {
     /// with output inside the domain); use the automata engine for exact
     /// semantics on arbitrary queries.
     pub fn eval(&self, q: &Query, db: &Database) -> Result<Relation, CoreError> {
-        let domain = self.domain(q, db);
-        let mut ev = DomainEvaluator::new(&q.alphabet, db, domain, self.memoize);
-        let mut env: HashMap<String, Str> = HashMap::new();
-        let mut out = Relation::new(q.arity());
-        let mut tuple = vec![Str::epsilon(); q.arity()];
-        self.eval_tuples(q, &mut ev, &mut env, 0, &mut tuple, &mut out)?;
-        Ok(out)
-    }
-
-    fn eval_tuples(
-        &self,
-        q: &Query,
-        ev: &mut DomainEvaluator<'_>,
-        env: &mut HashMap<String, Str>,
-        depth: usize,
-        tuple: &mut Vec<Str>,
-        out: &mut Relation,
-    ) -> Result<(), CoreError> {
-        if depth == q.arity() {
-            if ev.eval(&q.formula, env)? {
-                out.insert(tuple.clone());
-            }
-            return Ok(());
-        }
-        let candidates = ev.domain.clone();
-        for c in candidates {
-            env.insert(q.head[depth].clone(), c.clone());
-            tuple[depth] = c;
-            self.eval_tuples(q, ev, env, depth + 1, tuple, out)?;
-        }
-        env.remove(&q.head[depth]);
-        Ok(())
+        Ok(self.eval_deadlined(q, db, &Deadline::unlimited())?.0)
     }
 
     /// Evaluates a sentence.
     pub fn eval_bool(&self, q: &Query, db: &Database) -> Result<bool, CoreError> {
-        if !q.is_boolean() {
-            return Err(CoreError::Unsupported(
-                "eval_bool requires a sentence".into(),
-            ));
-        }
-        let domain = self.domain(q, db);
-        let mut ev = DomainEvaluator::new(&q.alphabet, db, domain, self.memoize);
-        let mut env = HashMap::new();
-        ev.eval(&q.formula, &mut env)
+        require_sentence(q.is_boolean())?;
+        Ok(!self.eval(q, db)?.is_empty())
     }
 
-    /// [`EnumEngine::eval`] under a cooperative deadline. The deadline
-    /// is polled once per depth-0 frontier candidate (and per
-    /// quantifier candidate inside the evaluator); on expiry the
-    /// enumeration stops and returns what completed — every tuple in
-    /// the partial output was fully verified, so the result is a sound
-    /// subset. Returns `(tuples, frontier_candidates_completed,
-    /// truncated)`.
+    /// [`EnumEngine::eval`] under a cooperative deadline (see
+    /// [`DomainEvaluator::enumerate`]). Returns `(tuples,
+    /// frontier_candidates_completed, truncated)`.
     pub fn eval_deadlined(
         &self,
         q: &Query,
@@ -176,73 +134,21 @@ impl EnumEngine {
         deadline: &Deadline,
     ) -> Result<(Relation, usize, bool), CoreError> {
         let domain = self.domain(q, db);
-        let mut ev = DomainEvaluator::new(&q.alphabet, db, domain, self.memoize)
-            .with_deadline(deadline.clone());
-        let mut env: HashMap<String, Str> = HashMap::new();
-        let mut out = Relation::new(q.arity());
-        let mut tuple = vec![Str::epsilon(); q.arity()];
-        let mut seen = 0usize;
-        let mut truncated = false;
-        if q.arity() == 0 {
-            // Arity-0 (sentence-shaped) enumeration has one frontier
-            // candidate: the empty tuple.
-            if deadline.checkpoint() {
-                return Ok((out, 0, true));
-            }
-            match self.eval_tuples(q, &mut ev, &mut env, 0, &mut tuple, &mut out) {
-                Ok(()) => seen = 1,
-                Err(CoreError::DeadlineExpired { .. }) => truncated = true,
-                Err(e) => return Err(e),
-            }
-            return Ok((out, seen, truncated));
-        }
-        let candidates = ev.domain.clone();
-        for c in candidates {
-            if deadline.checkpoint() {
-                truncated = true;
-                break;
-            }
-            env.insert(q.head[0].clone(), c.clone());
-            tuple[0] = c;
-            match self.eval_tuples(q, &mut ev, &mut env, 1, &mut tuple, &mut out) {
-                Ok(()) => seen += 1,
-                Err(CoreError::DeadlineExpired { .. }) => {
-                    truncated = true;
-                    break;
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        Ok((out, seen, truncated))
+        DomainEvaluator::new(&q.alphabet, db, domain, self.memoize)
+            .with_deadline(deadline.clone())
+            .enumerate(&q.formula, &q.head)
     }
+}
 
-    /// [`EnumEngine::eval_bool`] under a cooperative deadline. Returns
-    /// `(value, truncated)`; a truncated run reports `false` (no
-    /// witness was established before the fire) and the caller must
-    /// downgrade the verdict to `Unknown`.
-    pub fn eval_bool_deadlined(
-        &self,
-        q: &Query,
-        db: &Database,
-        deadline: &Deadline,
-    ) -> Result<(bool, bool), CoreError> {
-        if !q.is_boolean() {
-            return Err(CoreError::Unsupported(
-                "eval_bool requires a sentence".into(),
-            ));
-        }
-        let domain = self.domain(q, db);
-        let mut ev = DomainEvaluator::new(&q.alphabet, db, domain, self.memoize)
-            .with_deadline(deadline.clone());
-        let mut env = HashMap::new();
-        if deadline.checkpoint() {
-            return Ok((false, true));
-        }
-        match ev.eval(&q.formula, &mut env) {
-            Ok(v) => Ok((v, false)),
-            Err(CoreError::DeadlineExpired { .. }) => Ok((false, true)),
-            Err(e) => Err(e),
-        }
+/// The error both interpreters return when a boolean evaluation is
+/// handed a formula with free variables.
+pub(crate) fn require_sentence(is_sentence: bool) -> Result<(), CoreError> {
+    if is_sentence {
+        Ok(())
+    } else {
+        Err(CoreError::Unsupported(
+            "eval_bool requires a sentence".into(),
+        ))
     }
 }
 
@@ -318,6 +224,82 @@ impl<'a> DomainEvaluator<'a> {
     pub fn with_deadline(mut self, deadline: Deadline) -> DomainEvaluator<'a> {
         self.deadline = deadline;
         self
+    }
+
+    /// Enumerates the tuples over `head` that satisfy `formula`, each
+    /// head variable ranging over the evaluator's domain, depth first.
+    /// The deadline is polled once per depth-0 candidate — a sentence
+    /// has exactly one, the empty tuple — on top of the quantifier polls
+    /// inside. On expiry the enumeration stops and returns what
+    /// completed: every emitted tuple was fully verified, so the partial
+    /// answer is a sound subset, and the watermark counts completed
+    /// depth-0 candidates only. Returns `(tuples,
+    /// depth0_candidates_completed, truncated)`.
+    pub fn enumerate(
+        &mut self,
+        formula: &Formula,
+        head: &[String],
+    ) -> Result<(Relation, usize, bool), CoreError> {
+        let mut out = Relation::new(head.len());
+        let mut env: HashMap<String, Str> = HashMap::new();
+        let mut tuple = vec![Str::epsilon(); head.len()];
+        let frontier = if head.is_empty() {
+            1
+        } else {
+            self.domain.len()
+        };
+        let mut completed = 0usize;
+        for i in 0..frontier {
+            if self.deadline.checkpoint() {
+                return Ok((out, completed, true));
+            }
+            if let Some(var) = head.first() {
+                let c = self.domain[i].clone();
+                env.insert(var.clone(), c.clone());
+                tuple[0] = c;
+            }
+            match self.extend(
+                formula,
+                head,
+                head.len().min(1),
+                &mut env,
+                &mut tuple,
+                &mut out,
+            ) {
+                Ok(()) => completed += 1,
+                Err(CoreError::DeadlineExpired { .. }) => return Ok((out, completed, true)),
+                Err(e) => return Err(e),
+            }
+        }
+        Ok((out, completed, false))
+    }
+
+    /// One level of [`DomainEvaluator::enumerate`]: binds `head[depth]`
+    /// to each domain string in turn, and checks `formula` once the
+    /// tuple is complete.
+    fn extend(
+        &mut self,
+        formula: &Formula,
+        head: &[String],
+        depth: usize,
+        env: &mut HashMap<String, Str>,
+        tuple: &mut Vec<Str>,
+        out: &mut Relation,
+    ) -> Result<(), CoreError> {
+        if depth == head.len() {
+            if self.eval(formula, env)? {
+                out.insert(tuple.clone());
+            }
+            return Ok(());
+        }
+        for i in 0..self.domain.len() {
+            let c = self.domain[i].clone();
+            env.insert(head[depth].clone(), c.clone());
+            tuple[depth] = c;
+            self.extend(formula, head, depth + 1, env, tuple, out)?;
+        }
+        env.remove(&head[depth]);
+        Ok(())
     }
 
     /// Evaluates a term to a string under `env`.

@@ -59,7 +59,9 @@ pub use engine::AutomataEngine;
 pub use enumeval::EnumEngine;
 pub use faults::FaultPlan;
 pub use ledger::{AdmissionShortfall, Reservation, ReserveRequest, SharedLedger};
-pub use plan::{ExecCx, ExecReport, PassTrace, Plan, PlanNode, PlanOp, Planner, Strategy};
+pub use plan::{
+    Answer, ExecCx, ExecReport, Mode, PassTrace, Plan, PlanNode, PlanOp, Planner, Strategy,
+};
 pub use prepared::PreparedQuery;
 pub use query::{Calculus, CoreError, EvalOutput, Query};
 pub use safety::{RangeRestricted, StateSafety};

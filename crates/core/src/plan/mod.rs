@@ -40,7 +40,7 @@ mod ir;
 pub mod lint;
 mod passes;
 
-pub use exec::{ExecCx, ExecReport};
+pub use exec::{Answer, ExecCx, ExecReport, Mode};
 pub use ir::{Plan, PlanNode, PlanOp, Strategy};
 pub use lint::{PlanChecker, PlanLintReport};
 pub use passes::PassTrace;

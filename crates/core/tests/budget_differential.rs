@@ -17,12 +17,22 @@
 use proptest::prelude::*;
 use strcalc_alphabet::Alphabet;
 use strcalc_core::{
-    Budget, Calculus, ConcatEvaluator, DegradationPolicy, EvalOutput, Planner, Query,
-    Strategy as PlanStrategy,
+    Budget, Calculus, ConcatEvaluator, DegradationPolicy, EvalOutput, ExecCx, ExecReport, Mode,
+    Plan, Planner, Query, Strategy as PlanStrategy,
 };
 use strcalc_core::{CoreError, ExecVerdict};
 use strcalc_logic::{Formula, Term};
 use strcalc_relational::Database;
+
+/// A governed rows-mode run under an explicit budget.
+fn run_rows(
+    plan: &Plan,
+    db: &Database,
+    budget: &Budget,
+) -> Result<(EvalOutput, ExecReport), CoreError> {
+    let (answer, report) = plan.run(db, budget, &ExecCx::production(), Mode::Rows)?;
+    Ok((answer.expect_rows(), report))
+}
 
 /// Random formulas with free variable `x` over the unary relation `R`
 /// (same shape as the planner differential suite).
@@ -88,8 +98,7 @@ proptest! {
         let db = db();
         let plan = Planner::new().plan(&q).expect("plans");
         let (exact, _) = plan.execute(&db).expect("ungoverned");
-        let (governed, report) = plan
-            .execute_with(&db, &plan.seeded_budget())
+        let (governed, report) = run_rows(&plan, &db, &plan.seeded_budget())
             .expect("governed");
         prop_assert_eq!(governed, exact);
         prop_assert!(report.verdict.is_exact());
@@ -110,7 +119,7 @@ proptest! {
         if plan.strategy != PlanStrategy::Automata {
             return;
         }
-        let (degraded, report) = plan.execute_with(&db, &starved()).expect("degraded run");
+        let (degraded, report) = run_rows(&plan, &db, &starved()).expect("degraded run");
         let (collapse, _) = Planner::new()
             .force(PlanStrategy::ActiveDomainEnum)
             .plan(&q)
@@ -137,7 +146,7 @@ proptest! {
         let db = db();
         let plan = Planner::new().plan(&q).expect("plans");
         let (exact, _) = plan.execute(&db).expect("exact run");
-        let (answer, report) = plan.execute_with(&db, &starved()).expect("governed run");
+        let (answer, report) = run_rows(&plan, &db, &starved()).expect("governed run");
         if answer != exact {
             prop_assert!(!report.verdict.is_exact());
             prop_assert!(!report.degradations.is_empty());
@@ -156,8 +165,9 @@ proptest! {
         let plan = Planner::new().plan(&q).expect("plans");
         let (exact, _) = plan.execute_bool(&db).expect("exact");
         let (answer, report) = plan
-            .execute_bool_with(&db, &starved())
+            .run(&db, &starved(), &ExecCx::production(), Mode::Bool)
             .expect("governed bool run");
+        let answer = answer.expect_bool();
         if answer != exact {
             prop_assert!(!report.verdict.is_exact());
             prop_assert!(!report.degradations.is_empty());
@@ -185,7 +195,7 @@ fn clamped_search_depth_matches_the_clamped_evaluator() {
         search_depth: 2,
         ..Budget::unlimited()
     };
-    let (clamped, report) = plan.execute_with(&db, &narrow).unwrap();
+    let (clamped, report) = run_rows(&plan, &db, &narrow).unwrap();
     let direct = ConcatEvaluator::new(ab.clone(), 2)
         .eval(&formula, &head, &db)
         .unwrap();
@@ -197,7 +207,7 @@ fn clamped_search_depth_matches_the_clamped_evaluator() {
         .any(|d| d.code.as_str() == "SA404"));
 
     // A depth allowance at or above the plan's bound does not clamp.
-    let (full, report) = plan.execute_with(&db, &plan.seeded_budget()).unwrap();
+    let (full, report) = run_rows(&plan, &db, &plan.seeded_budget()).unwrap();
     let direct_full = ConcatEvaluator::new(ab, 3)
         .eval(&formula, &head, &db)
         .unwrap();
@@ -229,7 +239,7 @@ fn starved_dense_scan_falls_back_to_sparse_with_the_same_answer() {
     assert!(dense_report.degradations.is_empty());
     assert!(dense_report.artifact_bytes > 0, "dense tables were held");
 
-    let (sparse, report) = plan.execute_with(&db, &starved()).unwrap();
+    let (sparse, report) = run_rows(&plan, &db, &starved()).unwrap();
     assert_eq!(sparse, dense, "the sparse fallback is answer-preserving");
     assert!(report.verdict.is_exact());
     assert!(report
@@ -237,6 +247,41 @@ fn starved_dense_scan_falls_back_to_sparse_with_the_same_answer() {
         .iter()
         .any(|d| d.code.as_str() == "SA402"));
     assert_eq!(report.artifact_bytes, 0, "no dense tables under starvation");
+}
+
+/// A boolean dense scan counts the tuples it materialized whichever
+/// path runs it: the dense tables, or the sparse walk a starved budget
+/// falls back to (SA402).
+#[test]
+fn starved_and_unstarved_dense_sentences_count_the_same_tuples() {
+    let mut db = Database::new();
+    db.insert_unary_parsed(&Alphabet::ab(), "U", &["", "a", "aa", "ab", "aab", "abab"])
+        .unwrap();
+    let q = Query::parse(
+        Calculus::SReg,
+        Alphabet::ab(),
+        vec![],
+        "exists x. (U(x) & in(x, /(aa)*/))",
+    )
+    .unwrap();
+    let plan = Planner::new().plan(&q).unwrap();
+    assert_eq!(plan.strategy, PlanStrategy::DenseDfaScan);
+
+    let (dense, dense_report) = plan.execute_bool(&db).unwrap();
+    let (sparse, sparse_report) = plan
+        .run(&db, &starved(), &ExecCx::production(), Mode::Bool)
+        .unwrap();
+    assert!(sparse_report
+        .degradations
+        .iter()
+        .any(|d| d.code.as_str() == "SA402"));
+    assert_eq!(sparse.expect_bool(), dense);
+    assert!(dense);
+    assert_eq!(dense_report.tuples_enumerated, 1, "the witness tuple");
+    assert_eq!(
+        sparse_report.tuples_enumerated,
+        dense_report.tuples_enumerated
+    );
 }
 
 /// The like-linear scan builds no automata and holds no tables: its
@@ -256,7 +301,7 @@ fn like_scan_is_immune_to_starvation() {
     let plan = Planner::new().plan(&q).unwrap();
     assert_eq!(plan.strategy, PlanStrategy::LikeLinearScan);
     let (exact, _) = plan.execute(&db).unwrap();
-    let (governed, report) = plan.execute_with(&db, &starved()).unwrap();
+    let (governed, report) = run_rows(&plan, &db, &starved()).unwrap();
     assert_eq!(governed, exact);
     assert!(report.verdict.is_exact());
     assert!(report.degradations.is_empty());
@@ -276,15 +321,13 @@ fn fail_policy_rejects_instead_of_degrading() {
     .unwrap();
     let db = db();
     let plan = Planner::new().plan(&q).unwrap();
-    let err = plan
-        .execute_with(&db, &starved().with_policy(DegradationPolicy::Fail))
-        .unwrap_err();
+    let err = run_rows(&plan, &db, &starved().with_policy(DegradationPolicy::Fail)).unwrap_err();
     assert!(
         matches!(err, CoreError::BudgetExhausted { .. }),
         "got {err:?}"
     );
     // The same budget with the degrade policy still answers.
-    let (out, report) = plan.execute_with(&db, &starved()).unwrap();
+    let (out, report) = run_rows(&plan, &db, &starved()).unwrap();
     assert!(matches!(out, EvalOutput::Finite(_)));
     assert!(!report.degradations.is_empty());
 }

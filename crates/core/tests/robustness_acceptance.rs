@@ -11,8 +11,8 @@ use strcalc_alphabet::Alphabet;
 use strcalc_core::budget::UNLIMITED;
 use strcalc_core::cache::AutomatonCache;
 use strcalc_core::{
-    replay, AutomataEngine, Budget, Calculus, CoreError, ExecCx, ExecTrace, ExecVerdict, Planner,
-    Query, ReserveRequest, SharedLedger, Strategy,
+    replay, Answer, AutomataEngine, Budget, Calculus, CoreError, ExecCx, ExecTrace, ExecVerdict,
+    Mode, Planner, Query, ReserveRequest, SharedLedger, Strategy,
 };
 use strcalc_relational::Database;
 
@@ -60,7 +60,7 @@ fn dense_scan_exceeding_a_real_deadline_truncates_at_a_checkpoint_and_replays() 
         ..Budget::unlimited()
     };
     let (out, report) = plan
-        .execute_with_ctx(&db, &tight, &ExecCx::production())
+        .run(&db, &tight, &ExecCx::production(), Mode::Rows)
         .expect("a degraded run still answers");
 
     // The deadline fired in flight, at a checkpoint the report names.
@@ -138,11 +138,11 @@ fn over_subscribed_ledger_admits_exactly_one() {
             .unwrap();
             let plan = Planner::new().plan(&q).unwrap();
             let cx = ExecCx::production().with_ledger(Arc::clone(&ledger));
-            let denied = plan.execute_with_ctx(&db, &Budget::unlimited(), &cx);
+            let denied = plan.run(&db, &Budget::unlimited(), &cx, Mode::Rows);
             tx.send(()).unwrap();
             // After run A settles, the same run admits and is exact.
             let (out, report) = loop {
-                match plan.execute_with_ctx(&db, &Budget::unlimited(), &cx) {
+                match plan.run(&db, &Budget::unlimited(), &cx, Mode::Rows) {
                     Ok(ok) => break ok,
                     Err(CoreError::AdmissionDenied { .. }) => thread::yield_now(),
                     Err(e) => panic!("unexpected error: {e:?}"),
@@ -163,7 +163,10 @@ fn over_subscribed_ledger_admits_exactly_one() {
     );
     assert!(report.verdict.is_exact());
     assert!(report.degradations.is_empty());
-    assert!(matches!(out, strcalc_core::EvalOutput::Finite(_)));
+    assert!(matches!(
+        out,
+        Answer::Rows(strcalc_core::EvalOutput::Finite(_))
+    ));
 
     // All three dimensions drained back to capacity.
     assert_eq!(ledger.available(), (UNLIMITED, UNLIMITED, 1));

@@ -50,7 +50,7 @@ pub use compilepipe::{
 pub use parser::{parse_select, Catalog, Cond, Select, SqlError, SqlTerm, TableRef};
 
 use strcalc_alphabet::Alphabet;
-use strcalc_core::{Budget, CoreError, EvalOutput, ExecReport, Planner};
+use strcalc_core::{Budget, CoreError, EvalOutput, ExecCx, ExecReport, Mode, Planner};
 use strcalc_relational::Database;
 
 /// End-to-end: parse, compile, plan, and evaluate a SELECT statement.
@@ -86,8 +86,10 @@ pub fn run_sql_governed(
     let stmt = parse_select(alphabet, sql)?;
     let compiled = compile_select(alphabet, catalog, &stmt)?;
     let plan = compiled.plan(&Planner::new()).map_err(SqlRunError::Eval)?;
-    let (out, report) = plan.execute_with(db, budget).map_err(SqlRunError::Eval)?;
-    Ok((compiled, out, report))
+    let (answer, report) = plan
+        .run(db, budget, &ExecCx::production(), Mode::Rows)
+        .map_err(SqlRunError::Eval)?;
+    Ok((compiled, answer.expect_rows(), report))
 }
 
 /// Errors from the full SQL pipeline.
