@@ -245,6 +245,39 @@ fn sql_shaped() -> Vec<Formula> {
     ]
 }
 
+/// Formulas for the primitives the generator never draws: `fa`, `ins`
+/// and `shorter`, and `prepend`/`trim` nested inside `append`, where
+/// SA001 names the first responsible term function.
+fn pinned() -> Vec<Formula> {
+    let (x, y, p) = (|| Term::var("x"), || Term::var("y"), || Term::var("p"));
+    vec![
+        Formula::exists(
+            "y",
+            Formula::rel("R", vec![y()]).and(Formula::prepends(x(), y(), 0)),
+        ),
+        Formula::rel("R", vec![x()])
+            .and(Formula::rel("R", vec![y()]))
+            .and(Formula::exists(
+                "p",
+                Formula::insert_after(x(), p(), y(), 1),
+            )),
+        Formula::rel("R", vec![x()])
+            .and(Formula::shorter(y(), x()))
+            .and(Formula::in_lang(y(), lang(1))),
+        Formula::rel("R", vec![x()])
+            .and(Formula::eq(y(), x().prepend(0).append(1)))
+            .and(Formula::prefix(
+                x().trim_leading(0).append(0).append(1),
+                y(),
+            ))
+            .and(Formula::rel(
+                "R",
+                vec![x().trim_leading(1).append(0).prepend(1)],
+            )),
+        Formula::prepends(x(), y(), 1).and(Formula::in_lang(x(), lang(4))),
+    ]
+}
+
 /// `(formula, declared calculus, monoid cap)` triples. A small cap on
 /// some entries leaves star-freeness undecided (SA003/SA304), so the
 /// cap-keyed verdicts are exercised too.
@@ -262,6 +295,17 @@ fn corpus() -> Vec<(Formula, StructureClass, usize)> {
         };
         let cap = if i % 5 == 4 { 2 } else { 1_000_000 };
         out.push((generated(&mut rng), declared, cap));
+    }
+    for f in pinned() {
+        for declared in [
+            StructureClass::S,
+            StructureClass::SLeft,
+            StructureClass::SReg,
+        ] {
+            for cap in [1_000_000, 2] {
+                out.push((f.clone(), declared, cap));
+            }
+        }
     }
     out
 }

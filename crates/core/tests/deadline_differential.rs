@@ -26,7 +26,7 @@ use strcalc_core::cache::AutomatonCache;
 use strcalc_core::concat::ww_query;
 use strcalc_core::{
     replay, Answer, AutomataEngine, Budget, Calculus, CoreError, DegradationPolicy, ExecCx,
-    ExecTrace, FaultPlan, Mode, Planner, Query, Strategy as PlanStrategy,
+    ExecTrace, ExecVerdict, FaultPlan, Mode, Planner, Query, Strategy as PlanStrategy,
 };
 use strcalc_logic::{Formula, Term};
 use strcalc_relational::Database;
@@ -231,5 +231,59 @@ fn interrupted_search_reports_completed_assignments_in_both_modes() {
     assert!(
         rows.contains("checkpoint 2: explored 0 depth-0 assignments"),
         "{rows}"
+    );
+}
+
+/// A byte-starved dense scan falls back to the sparse walk (SA402),
+/// and a deadline firing at its first poll cuts that walk short
+/// (SA411). A sentence with no witness then established nothing:
+/// `Unknown` in bool mode, while the rows answer is still a sound
+/// `Bounded` under-approximation.
+#[test]
+fn deadline_cut_sparse_fallback_without_witness_is_unknown_in_bool_mode() {
+    let mut db = Database::new();
+    let words: Vec<String> = (1..=64).map(|n| format!("{}b", "a".repeat(n))).collect();
+    let words: Vec<&str> = words.iter().map(String::as_str).collect();
+    db.insert_unary_parsed(&Alphabet::ab(), "U", &words)
+        .unwrap();
+    let q = Query::parse(
+        Calculus::SReg,
+        Alphabet::ab(),
+        vec![],
+        "exists x. (U(x) & in(x, /(aa)*/))",
+    )
+    .unwrap();
+    let plan = Planner::new().plan(&q).expect("plans");
+    assert_eq!(plan.strategy, PlanStrategy::DenseDfaScan);
+    let (exact, _) = plan.execute_bool(&db).expect("ungoverned");
+    assert!(!exact, "no word of U is in (aa)*");
+
+    let starved = Budget {
+        bytes: 1,
+        ..Budget::unlimited()
+    };
+    let cx = ExecCx::replay(deadline_at(1));
+    let run = |mode| {
+        let (answer, report) = plan
+            .run(&db, &starved, &cx, mode)
+            .expect("degrade policy answers");
+        let codes: Vec<&str> = report
+            .degradations
+            .iter()
+            .map(|d| d.code.as_str())
+            .collect();
+        assert_eq!(codes, ["SA402", "SA411"], "{mode:?}");
+        (answer, report.verdict)
+    };
+    let (answer, verdict) = run(Mode::Bool);
+    assert_eq!(answer, Answer::Bool(false));
+    assert!(
+        matches!(verdict, ExecVerdict::Unknown { .. }),
+        "{verdict:?}"
+    );
+    let (_, verdict) = run(Mode::Rows);
+    assert!(
+        matches!(verdict, ExecVerdict::Bounded { .. }),
+        "{verdict:?}"
     );
 }
