@@ -45,6 +45,7 @@ use strcalc_automata::Regex;
 use strcalc_logic::{Atom, Formula, Fp, Lang, LangFacts, StructureClass, Term};
 
 use crate::diag::{Code, Finding, FormulaPath, PathSeg};
+use crate::signature::{self, SignatureInfo};
 
 // ---------------------------------------------------------------------
 // LIKE pattern classes
@@ -453,7 +454,8 @@ fn flatten_and<'f>(f: &'f Formula, out: &mut Vec<&'f Formula>) {
     }
 }
 
-fn lang_label(l: &Lang) -> String {
+/// Display name of a language in diagnostics and scan plans.
+pub(crate) fn lang_label(l: &Lang) -> String {
     l.name.clone().unwrap_or_else(|| "<anonymous>".to_string())
 }
 
@@ -528,13 +530,21 @@ pub fn contains_concat(f: &Formula) -> bool {
 }
 
 /// Infers the evaluation class of `f`. Purely syntactic (no automaton or
-/// DFA construction), so it is safe on the planner's hot path.
+/// DFA construction), so it is safe on the planner's hot path. A scan
+/// plan inside projects the free variables in sorted order.
 pub fn eval_class(f: &Formula) -> EvalClass {
+    let head: Vec<String> = f.free_vars().into_iter().collect();
+    eval_class_for(&head, f)
+}
+
+/// [`eval_class`] for a query's output columns `head` (its free
+/// variables, in any order): a scan plan inside projects them in that
+/// order.
+pub fn eval_class_for(head: &[String], f: &Formula) -> EvalClass {
     if contains_concat(f) {
         return EvalClass::ConcatBounded;
     }
-    let head: Vec<String> = f.free_vars().into_iter().collect();
-    match scan_plan(&head, f) {
+    match scan_plan(head, f) {
         Some(plan) if plan.dense_filters.is_empty() => EvalClass::LikeLinear(plan),
         Some(plan) => EvalClass::LikeGeneral(plan),
         None => EvalClass::AutomataTame,
@@ -625,14 +635,16 @@ pub struct FragmentAnalysis {
     pub table: Vec<(FormulaPath, FragmentPoint)>,
 }
 
-/// Attributes synthesized bottom-up alongside the table.
+/// Attributes synthesized bottom-up alongside the table. A
+/// concatenation atom below the node is exactly a `Concat` structure:
+/// only `concat` is classed there, and it is the lattice's top.
 struct Attrs {
     structure: StructureClass,
     quantifier_free: bool,
-    has_concat: bool,
 }
 
 struct Cx<'a> {
+    declared: StructureClass,
     k: Sym,
     monoid_cap: usize,
     facts: &'a LangFacts,
@@ -640,31 +652,40 @@ struct Cx<'a> {
     /// in (from the range-restriction pass).
     node_safe: &'a [bool],
     table: Vec<(FormulaPath, FragmentPoint)>,
+    signature: SignatureInfo,
     findings: &'a mut Vec<Finding>,
 }
 
 /// Runs the pass over `f` (alphabet size `k`; `monoid_cap` bounds the
-/// star-freeness decision procedure, as in the signature pass).
-/// `node_safe` is the range-restriction pass's per-node safe-range
-/// flags for the same formula, in postorder.
+/// star-freeness decision procedure). `node_safe` is the
+/// range-restriction pass's per-node safe-range flags for the same
+/// formula, in postorder. The same walk is the signature pass
+/// ([`crate::signature`]): it reports every term and atom above
+/// `declared` and returns the [`SignatureInfo`].
 pub(crate) fn check(
     f: &Formula,
     k: Sym,
     monoid_cap: usize,
     facts: &LangFacts,
     node_safe: &[bool],
-) -> (FragmentAnalysis, Vec<Finding>) {
+    declared: StructureClass,
+) -> (FragmentAnalysis, SignatureInfo, Vec<Finding>) {
     let mut findings = Vec::new();
     let mut cx = Cx {
+        declared,
         k,
         monoid_cap,
         facts,
         node_safe,
         table: Vec::new(),
+        signature: SignatureInfo {
+            inferred: StructureClass::S,
+            star_free_undecided: 0,
+        },
         findings: &mut findings,
     };
     cx.walk(f, &FormulaPath::root());
-    let table = cx.table;
+    let (table, signature) = (cx.table, cx.signature);
     // Postorder: the root's point is the last entry.
     let root = table
         .last()
@@ -698,11 +719,12 @@ pub(crate) fn check(
             ),
         );
     }
-    (FragmentAnalysis { root, class, table }, findings)
+    (FragmentAnalysis { root, class, table }, signature, findings)
 }
 
 /// The pass on its own, running the range-restriction walk first for
-/// the safe-range flags (the analyzer shares that walk with pass 2).
+/// the safe-range flags (the analyzer shares that walk with pass 2),
+/// with no calculus declared below `S_concat`.
 pub(crate) fn check_alone(
     f: &Formula,
     k: Sym,
@@ -710,17 +732,20 @@ pub(crate) fn check_alone(
     facts: &LangFacts,
 ) -> (FragmentAnalysis, Vec<Finding>) {
     let (_, node_safe, _) = crate::saferange::check(f, k, facts);
-    check(f, k, monoid_cap, facts, &node_safe)
+    let (analysis, _, findings) =
+        check(f, k, monoid_cap, facts, &node_safe, StructureClass::Concat);
+    (analysis, findings)
 }
 
 fn point_of(attrs: &Attrs, safe_range: bool) -> FragmentPoint {
+    let concat = attrs.structure == StructureClass::Concat;
     FragmentPoint {
         structure: attrs.structure,
         quantifier_free: attrs.quantifier_free,
         safe_range,
-        collapse_safe: safe_range && !attrs.has_concat,
-        automata_tame: !attrs.has_concat,
-        concat_bounded: attrs.has_concat,
+        collapse_safe: safe_range && !concat,
+        automata_tame: !concat,
+        concat_bounded: concat,
     }
 }
 
@@ -733,7 +758,6 @@ impl Cx<'_> {
             Formula::True | Formula::False => Attrs {
                 structure: StructureClass::S,
                 quantifier_free: true,
-                has_concat: false,
             },
             Formula::Atom(a) => self.atom(a, path),
             Formula::Not(g) => self.walk(g, &path.child(PathSeg::NotArg)),
@@ -760,9 +784,10 @@ impl Cx<'_> {
             Formula::Exists(v, g)
             | Formula::Forall(v, g)
             | Formula::ExistsR(_, v, g)
-            | Formula::ForallR(_, v, g) => {
-                quantified(self.walk(g, &path.child(PathSeg::QuantBody(v.clone()))))
-            }
+            | Formula::ForallR(_, v, g) => Attrs {
+                quantifier_free: false,
+                ..self.walk(g, &path.child(PathSeg::QuantBody(v.clone())))
+            },
         };
         let safe_range = self.node_safe[self.table.len()];
         self.table
@@ -770,72 +795,61 @@ impl Cx<'_> {
         attrs
     }
 
+    /// An atom's lattice point. Emits the LIKE-class (`SA302`/`SA303`)
+    /// and star-free-fallback (`SA304`) findings, and runs the signature
+    /// check on the atom.
     fn atom(&mut self, a: &Atom, path: &FormulaPath) -> Attrs {
-        let mut structure = StructureClass::S;
-        for t in a.terms() {
-            structure = structure.join(term_structure(t));
-        }
-        let class = match a {
-            Atom::Prepends(..) => StructureClass::SLeft,
-            Atom::EqLen(..) | Atom::ShorterEq(..) | Atom::Shorter(..) | Atom::InsertAfter(..) => {
-                StructureClass::SLen
-            }
-            Atom::ConcatEq(..) => StructureClass::Concat,
-            Atom::InLang(_, l) | Atom::PL(_, _, l) => self.lang_structure(a, l, path),
-            _ => StructureClass::S,
-        };
-        Attrs {
-            structure: structure.join(class),
-            quantifier_free: true,
-            has_concat: matches!(a, Atom::ConcatEq(..)),
-        }
-    }
-
-    /// Structure class of a language atom, emitting the LIKE-class
-    /// (`SA302`/`SA303`) and star-free-fallback (`SA304`) findings.
-    fn lang_structure(&mut self, a: &Atom, l: &Lang, path: &FormulaPath) -> StructureClass {
-        if matches!(a, Atom::InLang(..)) && is_like_shaped(&l.regex) {
-            match like_matcher(&l.regex) {
-                Some(m) => self.findings.push(Finding::new(
-                    Code::LikeLinearClass,
-                    path.clone(),
-                    format!(
-                        "LIKE pattern {} is in the linear {} class: matched by a scan, no \
-                         automaton needed",
-                        lang_label(l),
-                        m.class_name()
-                    ),
-                )),
-                None => self.findings.push(Finding::new(
-                    Code::LikeGeneralClass,
-                    path.clone(),
-                    format!(
-                        "LIKE pattern {} is in the general class (multiple literal segments \
-                         or `_` mixed with `%`): kept on the automaton path",
-                        lang_label(l)
-                    ),
-                )),
-            }
-        }
-        match self.facts.star_free(l, self.k, self.monoid_cap) {
-            Ok(true) => StructureClass::S,
-            Ok(false) => StructureClass::SReg,
-            Err(e) => {
-                self.findings.push(
-                    Finding::new(
-                        Code::FragmentStarFreeFallback,
+        if let Atom::InLang(_, l) = a {
+            if is_like_shaped(&l.regex) {
+                self.findings.push(match like_matcher(&l.regex) {
+                    Some(m) => Finding::new(
+                        Code::LikeLinearClass,
                         path.clone(),
                         format!(
-                            "star-freeness of language {} is undecided under the monoid cap; \
-                             the subformula is conservatively placed in the \
-                             regular-representable fragment",
+                            "LIKE pattern {} is in the linear {} class: matched by a scan, no \
+                             automaton needed",
+                            lang_label(l),
+                            m.class_name()
+                        ),
+                    ),
+                    None => Finding::new(
+                        Code::LikeGeneralClass,
+                        path.clone(),
+                        format!(
+                            "LIKE pattern {} is in the general class (multiple literal \
+                             segments or `_` mixed with `%`): kept on the automaton path",
                             lang_label(l)
                         ),
-                    )
-                    .with_note(e.to_string()),
-                );
-                StructureClass::SReg
+                    ),
+                });
             }
+        }
+        let predicate = StructureClass::of_atom(a, self.k, self.monoid_cap, self.facts);
+        if let (Err(e), Atom::InLang(_, l) | Atom::PL(_, _, l)) = (&predicate, a) {
+            self.findings.push(
+                Finding::new(
+                    Code::FragmentStarFreeFallback,
+                    path.clone(),
+                    format!(
+                        "star-freeness of language {} is undecided under the monoid cap; \
+                         the subformula is conservatively placed in the \
+                         regular-representable fragment",
+                        lang_label(l)
+                    ),
+                )
+                .with_note(e.to_string()),
+            );
+        }
+        Attrs {
+            structure: signature::check_atom(
+                a,
+                &predicate,
+                self.declared,
+                path,
+                &mut self.signature,
+                self.findings,
+            ),
+            quantifier_free: true,
         }
     }
 }
@@ -844,25 +858,6 @@ fn join_attrs(a: Attrs, b: Attrs) -> Attrs {
     Attrs {
         structure: a.structure.join(b.structure),
         quantifier_free: a.quantifier_free && b.quantifier_free,
-        has_concat: a.has_concat || b.has_concat,
-    }
-}
-
-fn quantified(inner: Attrs) -> Attrs {
-    Attrs {
-        structure: inner.structure,
-        quantifier_free: false,
-        has_concat: inner.has_concat,
-    }
-}
-
-fn term_structure(t: &Term) -> StructureClass {
-    match t {
-        Term::Var(_) | Term::Const(_) => StructureClass::S,
-        Term::Append(inner, _) => term_structure(inner),
-        Term::Prepend(_, inner) | Term::TrimLeading(_, inner) => {
-            StructureClass::SLeft.join(term_structure(inner))
-        }
     }
 }
 

@@ -3,12 +3,12 @@
 //! `strcalc-analyze` inspects a [`Formula`] *without any database* and
 //! produces structured [`Diagnostic`]s with stable `SA0xx` codes, a
 //! severity, a path into the formula tree, and a rendered message. Five
-//! passes run in sequence:
+//! passes run; pass 1 shares pass 5's walk:
 //!
-//! 1. **Signature check** ([`signature`]): infers the minimal structure
-//!    (`S` / `S_left` / `S_reg` / `S_len` / concatenation) required per
-//!    subformula and errors when the query exceeds its declared calculus
-//!    (`SA001`, `SA002`, `SA003`).
+//! 1. **Signature check** ([`signature`]): places every atom and term at
+//!    its minimal structure in the Figure-1 table `Query::infer` also
+//!    uses ([`StructureClass::of_atom`]) and errors when the query exceeds
+//!    its declared calculus (`SA001`, `SA002`, `SA003`).
 //! 2. **Range restriction** ([`saferange`]): a sound under-approximation
 //!    of the safe-range fragment; free variables that are not provably
 //!    confined to a finite range get `SA010`, unbounded existentials get
@@ -25,13 +25,14 @@
 //!    infers the evaluation class the planner keys its strategy on
 //!    (`SA300`–`SA304`; `SA305` belongs to the plan verifier).
 //!
-//! The passes share two pieces of work, each done once per analysis.
+//! The passes share three pieces of work, each done once per analysis.
 //! Every `in`/`pl` language's DFA, finiteness and star-freeness come
 //! from one [`LangFacts`] table (a compile that also ran
 //! `Query::infer` hands its table over through
 //! [`Analyzer::analyze_with`]). The range-restriction pass records each
 //! subformula's safe-range flag as it walks, and the fragment pass reads
-//! those flags instead of re-deriving them.
+//! those flags instead of re-deriving them. The fragment pass's walk
+//! classes each atom once, for the signature check and the lattice.
 //!
 //! Severities are shaped by per-code [`LintLevel`]s (allow / warn /
 //! deny), mirroring a compiler's lint configuration. The analyzer is
@@ -147,10 +148,6 @@ impl Analyzer {
         let k = alphabet.len() as Sym;
         let mut findings: Vec<Finding> = Vec::new();
 
-        let (signature, sig_findings) =
-            signature::check(f, self.declared, k, self.monoid_cap, facts);
-        findings.extend(sig_findings);
-
         let (safe_range, node_safe, sr_findings) = saferange::check(f, k, facts);
         findings.extend(sr_findings);
 
@@ -159,8 +156,8 @@ impl Analyzer {
         let (cost, cost_findings) = cost::check(f, k, self.budget_log2_states, facts);
         findings.extend(cost_findings);
 
-        let (fragment, fragment_findings) =
-            fragments::check(f, k, self.monoid_cap, facts, &node_safe);
+        let (fragment, signature, fragment_findings) =
+            fragments::check(f, k, self.monoid_cap, facts, &node_safe, self.declared);
         findings.extend(fragment_findings);
 
         let mut diagnostics: Vec<Diagnostic> = findings
@@ -187,7 +184,6 @@ impl Analyzer {
 
         Analysis {
             declared: self.declared,
-            inferred: signature.inferred,
             signature,
             safe_range,
             cost,
@@ -202,9 +198,8 @@ impl Analyzer {
 pub struct Analysis {
     /// The calculus the query was declared in.
     pub declared: StructureClass,
-    /// The minimal structure the formula actually requires.
-    pub inferred: StructureClass,
-    /// Signature-pass details.
+    /// Signature-pass details, including the minimal structure the
+    /// formula actually requires.
     pub signature: SignatureInfo,
     /// Range-restriction details.
     pub safe_range: SafeRangeInfo,
@@ -238,7 +233,7 @@ impl Analysis {
         let mut out = format!(
             "declared RC({}), inferred RC({}); {}\n",
             self.declared.name(),
-            self.inferred.name(),
+            self.signature.inferred.name(),
             self.cost.summary()
         );
         if self.diagnostics.is_empty() {
@@ -276,7 +271,7 @@ mod tests {
             .next()
             .expect("SA001 expected");
         assert_eq!(d.severity, Severity::Error);
-        assert_eq!(analysis.inferred, StructureClass::SLeft);
+        assert_eq!(analysis.signature.inferred, StructureClass::SLeft);
     }
 
     #[test]

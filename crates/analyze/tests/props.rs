@@ -10,7 +10,7 @@
 
 use proptest::prelude::*;
 use strcalc_alphabet::Alphabet;
-use strcalc_analyze::{signature, Analyzer, Code};
+use strcalc_analyze::{Analyzer, Code};
 use strcalc_core::safety::state_safety;
 use strcalc_core::{AutomataEngine, Calculus, Query};
 use strcalc_logic::{Formula, StructureClass, Term};
@@ -46,6 +46,15 @@ fn arb_formula() -> impl Strategy<Value = Formula> {
     })
 }
 
+/// The signature pass's inferred class (undecided star-freeness counts
+/// as `S_reg`), with nothing declared above it.
+fn inferred(f: &Formula) -> StructureClass {
+    Analyzer::new(StructureClass::Concat)
+        .analyze(&Alphabet::ab(), f)
+        .signature
+        .inferred
+}
+
 fn db() -> Database {
     let sigma = Alphabet::ab();
     let mut db = Database::new();
@@ -64,11 +73,11 @@ proptest! {
     // atoms are a subset).
     #[test]
     fn signature_inference_is_monotone(f in arb_formula()) {
-        let whole = signature::infer(&f, 2, 100_000);
+        let whole = inferred(&f);
         let mut subs: Vec<Formula> = Vec::new();
         f.visit(&mut |sub| subs.push(sub.clone()));
         for sub in &subs {
-            let part = signature::infer(sub, 2, 100_000);
+            let part = inferred(sub);
             prop_assert!(
                 part.leq(whole),
                 "subformula needs {part:?} but the whole formula only {whole:?}\n\
@@ -77,7 +86,7 @@ proptest! {
         }
         // Embedding into a larger context is monotone too.
         let wrapped = Formula::exists("z", f.clone().and(Formula::True));
-        prop_assert!(whole.leq(signature::infer(&wrapped, 2, 100_000)));
+        prop_assert!(whole.leq(inferred(&wrapped)));
     }
 
     // Soundness: any query the *dynamic* state-safety check finds

@@ -54,7 +54,7 @@ use strcalc_analyze::admission;
 use strcalc_analyze::cost;
 use strcalc_analyze::fragments;
 use strcalc_analyze::planlint::{self as cert_domain, ResourceCert};
-use strcalc_analyze::EvalClass;
+use strcalc_analyze::{EvalClass, ScanPlan};
 use strcalc_logic::Formula;
 
 use crate::budget::Budget;
@@ -163,7 +163,15 @@ impl Planner {
     /// densification threshold, otherwise the forced strategy or (by
     /// default) exact automata evaluation.
     pub fn strategy_for(&self, formula: &Formula, k: u8) -> Result<Strategy, CoreError> {
-        match fragments::eval_class(formula) {
+        self.route(fragments::eval_class(formula), k)
+            .map(|(strategy, _)| strategy)
+    }
+
+    /// The routing behind [`Planner::strategy_for`], from an already
+    /// inferred class. A scan strategy comes with the class's scan
+    /// plan; every other strategy with `None`.
+    fn route(&self, class: EvalClass, k: u8) -> Result<(Strategy, Option<ScanPlan>), CoreError> {
+        match class {
             EvalClass::ConcatBounded => match self.force {
                 Some(Strategy::Automata)
                 | Some(Strategy::ActiveDomainEnum)
@@ -171,15 +179,16 @@ impl Planner {
                 | Some(Strategy::DenseDfaScan) => Err(CoreError::Unsupported(
                     "concatenation queries admit only bounded search (Proposition 1)".into(),
                 )),
-                _ => Ok(Strategy::BoundedSearch),
+                _ => Ok((Strategy::BoundedSearch, None)),
             },
-            EvalClass::LikeLinear(_) => match self.force {
+            EvalClass::LikeLinear(plan) => match self.force {
                 Some(Strategy::DenseDfaScan) => Err(CoreError::Unsupported(
                     "the dense-scan strategy requires general language filters; this formula \
                      is in the linear LIKE class"
                         .into(),
                 )),
-                _ => Ok(self.force.unwrap_or(Strategy::LikeLinearScan)),
+                None | Some(Strategy::LikeLinearScan) => Ok((Strategy::LikeLinearScan, Some(plan))),
+                Some(s) => Ok((s, None)),
             },
             EvalClass::LikeGeneral(plan) => {
                 let bound = cert_domain::dense_scan_states(&plan, k);
@@ -195,9 +204,12 @@ impl Planner {
                             self.densify_threshold
                         )))
                     }
-                    Some(s) => Ok(s),
-                    None if bound <= self.densify_threshold => Ok(Strategy::DenseDfaScan),
-                    None => Ok(Strategy::Automata),
+                    Some(Strategy::DenseDfaScan) => Ok((Strategy::DenseDfaScan, Some(plan))),
+                    Some(s) => Ok((s, None)),
+                    None if bound <= self.densify_threshold => {
+                        Ok((Strategy::DenseDfaScan, Some(plan)))
+                    }
+                    None => Ok((Strategy::Automata, None)),
                 }
             }
             EvalClass::AutomataTame => match self.force {
@@ -209,7 +221,7 @@ impl Planner {
                      language filters"
                         .into(),
                 )),
-                _ => Ok(self.force.unwrap_or(Strategy::Automata)),
+                _ => Ok((self.force.unwrap_or(Strategy::Automata), None)),
             },
         }
     }
@@ -269,22 +281,17 @@ impl Planner {
         // class, and a strategy chosen from the stale pre-rewrite
         // classification could route a scan-eligible formula through
         // automaton construction — or worse, attach a scan plan the
-        // rewritten formula no longer matches (SA305). Raw sources
-        // enter only through the concat fragment and keep the
-        // bounded-search executor even when the rewrite folds the
-        // ConcatEq atom away: there is no typed query to hand to the
-        // other executors.
-        let strategy = match &source {
-            PlanSource::Raw { .. } => match self.force {
-                Some(Strategy::BoundedSearch) | None => Strategy::BoundedSearch,
-                Some(_) => {
-                    return Err(CoreError::Unsupported(
-                        "concatenation queries admit only bounded search (Proposition 1)".into(),
-                    ))
-                }
-            },
-            PlanSource::Query(q) => self.strategy_for(&q.formula, k)?,
+        // rewritten formula no longer matches (SA305). A typed query is
+        // classified here, once per build, and a scan strategy scans
+        // with the plan inside its class. Raw sources enter only
+        // through the concat fragment and keep the bounded-search
+        // executor even when the rewrite folds the ConcatEq atom away:
+        // there is no typed query to hand to the other executors.
+        let class = match &source {
+            PlanSource::Query(_) => fragments::eval_class_for(head, formula),
+            PlanSource::Raw { .. } => EvalClass::ConcatBounded,
         };
+        let (strategy, scan) = self.route(class, k)?;
         let tree = self.lower(formula, alphabet, strategy, k);
 
         // Planlint baseline: the lowered tree of the (post-rewrite)
@@ -328,33 +335,16 @@ impl Planner {
         // Root operator, then final full-plan verification (root and
         // strategy checks included) and certificate annotation.
         let estimate = cost::estimate(formula, k);
-        let mut root = match strategy {
-            Strategy::Automata | Strategy::ActiveDomainEnum => tree.wrap(PlanOp::EnumerateFinite),
-            Strategy::BoundedSearch => tree.wrap(PlanOp::BoundedSearch { budget: self.bound }),
-            Strategy::LikeLinearScan => {
-                let plan = fragments::scan_plan(head, formula).ok_or_else(|| {
-                    CoreError::Unsupported(
-                        "the linear-scan strategy requires a formula in the linear LIKE class"
-                            .into(),
-                    )
-                })?;
-                tree.wrap(PlanOp::LikeScan { plan })
-            }
-            Strategy::DenseDfaScan => {
-                let plan = fragments::scan_plan(head, formula)
-                    .filter(|p| !p.dense_filters.is_empty())
-                    .ok_or_else(|| {
-                        CoreError::Unsupported(
-                            "the dense-scan strategy requires general language filters over \
-                             one stored relation"
-                                .into(),
-                        )
-                    })?;
-                tree.wrap(PlanOp::DenseScan {
-                    plan,
-                    threshold: self.densify_threshold,
-                })
-            }
+        let mut root = match (strategy, scan) {
+            (Strategy::LikeLinearScan, Some(plan)) => tree.wrap(PlanOp::LikeScan { plan }),
+            (Strategy::DenseDfaScan, Some(plan)) => tree.wrap(PlanOp::DenseScan {
+                plan,
+                threshold: self.densify_threshold,
+            }),
+            (Strategy::BoundedSearch, _) => tree.wrap(PlanOp::BoundedSearch { budget: self.bound }),
+            // `route` hands a scan plan to both scan strategies, so this
+            // is automata or active-domain enumeration.
+            _ => tree.wrap(PlanOp::EnumerateFinite),
         };
         Self::verify_stage(&checker, "root", Some(&cert), &root, true)?;
         let root_cert = checker.annotate(&mut root);
@@ -661,6 +651,29 @@ mod tests {
         assert_eq!(report.automaton_states, 0, "the scan builds no automaton");
         assert_eq!(report.domain_size, 4, "every stored row is scanned once");
         assert!(plan.certificate().is_none_or(|c| c.is_zero()));
+    }
+
+    /// A scan projects the query's head order, not the sorted order of
+    /// its free variables: the class the planner routes from is inferred
+    /// for the head.
+    #[test]
+    fn scans_project_the_query_head_order() {
+        let mut db = Database::new();
+        for (x, y) in [("ab", "b"), ("a", "ba"), ("ba", "a"), ("abab", "ab")] {
+            db.insert("T", vec![ab().parse(x).unwrap(), ab().parse(y).unwrap()])
+                .unwrap();
+        }
+        for (pattern, strategy) in [
+            ("a.*", Strategy::LikeLinearScan),
+            ("(ab)*", Strategy::DenseDfaScan),
+        ] {
+            let src = format!("T(x, y) & in(x, /{pattern}/)");
+            let query = q(Calculus::SReg, &["y", "x"], &src);
+            let plan = Planner::new().plan(&query).unwrap();
+            assert_eq!(plan.strategy, strategy, "{pattern}");
+            let direct = AutomataEngine::new().eval(&query, &db).unwrap();
+            assert_eq!(plan.execute(&db).unwrap().0, direct, "{pattern}");
+        }
     }
 
     #[test]

@@ -3,6 +3,7 @@
 use std::collections::{BTreeSet, HashMap};
 
 use strcalc_alphabet::Sym;
+use strcalc_automata::AutomataError;
 
 use crate::facts::LangFacts;
 use crate::formula::{Atom, Formula, Term};
@@ -50,6 +51,48 @@ impl StructureClass {
         self.join(other) == other
     }
 
+    /// The Figure-1 table: the least class whose primitives include
+    /// atom `a`'s predicate, its terms aside ([`StructureClass::of_term`]).
+    /// An `in`/`pl` language's star-freeness is read from `facts`; the
+    /// error is an undecided verdict.
+    pub fn of_atom(
+        a: &Atom,
+        k: Sym,
+        monoid_cap: usize,
+        facts: &LangFacts,
+    ) -> Result<StructureClass, AutomataError> {
+        Ok(match a {
+            Atom::Prepends(..) => StructureClass::SLeft,
+            Atom::EqLen(..) | Atom::ShorterEq(..) | Atom::Shorter(..) => StructureClass::SLen,
+            // Conclusion extension: subsumes F_a (p = ε), definable
+            // over S_len via the same positional trick as F_a
+            // (Section 4); typed conservatively at S_len because its
+            // exact lattice position is the paper's open question.
+            Atom::InsertAfter(..) => StructureClass::SLen,
+            Atom::ConcatEq(..) => StructureClass::Concat,
+            Atom::InLang(_, l) | Atom::PL(_, _, l) => {
+                if facts.star_free(l, k, monoid_cap)? {
+                    StructureClass::S
+                } else {
+                    StructureClass::SReg
+                }
+            }
+            _ => StructureClass::S,
+        })
+    }
+
+    /// The least class whose functions cover term `t`: `prepend` and
+    /// `trim` need `S_left`, `append` stays in `S`.
+    pub fn of_term(t: &Term) -> StructureClass {
+        match t {
+            Term::Var(_) | Term::Const(_) => StructureClass::S,
+            Term::Append(t, _) => StructureClass::of_term(t),
+            Term::Prepend(_, t) | Term::TrimLeading(_, t) => {
+                StructureClass::SLeft.join(StructureClass::of_term(t))
+            }
+        }
+    }
+
     /// Human-readable name matching the paper's notation.
     pub fn name(self) -> &'static str {
         match self {
@@ -63,8 +106,9 @@ impl StructureClass {
 }
 
 /// Infers the least structure class whose primitives cover every atom and
-/// term of `f`. `InLang`/`P_L` atoms require deciding star-freeness of
-/// their language, hence the alphabet size `k` and a monoid cap.
+/// term of `f`, folding [`StructureClass::of_atom`] and `of_term` over it.
+/// A language whose star-freeness is undecided under the monoid cap is
+/// an error here; the static analyzer instead classes it `S_reg`.
 pub fn fragment(f: &Formula, k: Sym, monoid_cap: usize) -> Result<StructureClass, LogicError> {
     fragment_with(f, k, monoid_cap, &LangFacts::new())
 }
@@ -78,51 +122,21 @@ pub fn fragment_with(
     monoid_cap: usize,
     facts: &LangFacts,
 ) -> Result<StructureClass, LogicError> {
-    let mut class = StructureClass::S;
-    let mut err: Option<LogicError> = None;
+    let mut class = Ok(StructureClass::S);
     f.visit(&mut |sub| {
-        if err.is_some() {
-            return;
-        }
-        if let Formula::Atom(a) = sub {
-            // Terms first: Prepend / TrimLeading force S_left.
-            for t in a.terms() {
-                class = class.join(term_class(t));
-            }
-            let c = match a {
-                Atom::Prepends(..) => StructureClass::SLeft,
-                Atom::EqLen(..) | Atom::ShorterEq(..) | Atom::Shorter(..) => StructureClass::SLen,
-                Atom::ConcatEq(..) => StructureClass::Concat,
-                // Conclusion extension: subsumes F_a (p = ε), definable
-                // over S_len via the same positional trick as F_a
-                // (Section 4); typed conservatively at S_len because its
-                // exact lattice position is the paper's open question.
-                Atom::InsertAfter(..) => StructureClass::SLen,
-                Atom::InLang(_, l) | Atom::PL(_, _, l) => match facts.star_free(l, k, monoid_cap) {
-                    Ok(true) => StructureClass::S,
-                    Ok(false) => StructureClass::SReg,
-                    Err(e) => {
-                        err = Some(LogicError::StarFreeUndecided(e.to_string()));
-                        StructureClass::SReg
-                    }
-                },
-                _ => StructureClass::S,
-            };
-            class = class.join(c);
+        if let (Ok(acc), Formula::Atom(a)) = (&class, sub) {
+            let acc = *acc;
+            class = StructureClass::of_atom(a, k, monoid_cap, facts)
+                .map(|c| {
+                    a.terms()
+                        .into_iter()
+                        .map(StructureClass::of_term)
+                        .fold(acc.join(c), StructureClass::join)
+                })
+                .map_err(|e| LogicError::StarFreeUndecided(e.to_string()));
         }
     });
-    match err {
-        Some(e) => Err(e),
-        None => Ok(class),
-    }
-}
-
-fn term_class(t: &Term) -> StructureClass {
-    match t {
-        Term::Var(_) | Term::Const(_) => StructureClass::S,
-        Term::Append(t, _) => term_class(t),
-        Term::Prepend(_, t) | Term::TrimLeading(_, t) => StructureClass::SLeft.join(term_class(t)),
-    }
+    class
 }
 
 /// Negation normal form: negations pushed to atoms, `→`/`↔` expanded.
